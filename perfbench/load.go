@@ -1,13 +1,13 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,9 +30,7 @@ type opFunc func(c int, r *rand.Rand) outcome
 // loadStats aggregates one load phase.
 type loadStats struct {
 	lats      []time.Duration // per op
-	at        []time.Duration // per op: when it started (open loop: was due), from the phase start
-	lags      []time.Duration // open loop only: send time minus due time
-	dur       time.Duration   // the phase's scheduled length
+	at        []time.Duration // per op: when it started, from the phase start
 	attempted int
 	failed    int
 	elapsed   time.Duration
@@ -79,63 +77,7 @@ func closedLoop(seed uint64, phase string, nclients int, d time.Duration, fn opF
 		}(c)
 	}
 	wg.Wait()
-	ls := merge(per, time.Since(start))
-	ls.dur = d
-	return ls
-}
-
-// openLoop issues ops on a Poisson schedule at rate per second for d,
-// with nworkers goroutines taking the due ops in order. An op's latency
-// runs from when it was due, so a stall also charges the ops queued
-// behind it; lags records how late each op was sent.
-func openLoop(seed uint64, phase string, nworkers int, rate float64, d time.Duration, fn opFunc) loadStats {
-	sched := clientRand(seed, phase+"/schedule", 0)
-	var due []time.Duration
-	for t := time.Duration(0); ; {
-		t += time.Duration(sched.ExpFloat64() / rate * float64(time.Second))
-		if t >= d {
-			break
-		}
-		due = append(due, t)
-	}
-	per := make([]loadStats, nworkers)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < nworkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := clientRand(seed, phase, w)
-			st := &per[w]
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(due) {
-					return
-				}
-				at := start.Add(due[i])
-				time.Sleep(time.Until(at))
-				o := fn(w, r)
-				st.attempted++
-				st.lats = append(st.lats, o.end.Sub(at))
-				st.at = append(st.at, due[i])
-				st.lags = append(st.lags, max(o.start.Sub(at), 0))
-				if o.failed {
-					st.failed++
-				}
-				if o.err != nil {
-					st.err = o.err
-					stop.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	ls := merge(per, time.Since(start))
-	ls.dur = d
-	return ls
+	return merge(per, time.Since(start))
 }
 
 func merge(per []loadStats, elapsed time.Duration) loadStats {
@@ -143,7 +85,6 @@ func merge(per []loadStats, elapsed time.Duration) loadStats {
 	for _, s := range per {
 		out.lats = append(out.lats, s.lats...)
 		out.at = append(out.at, s.at...)
-		out.lags = append(out.lags, s.lags...)
 		out.attempted += s.attempted
 		out.failed += s.failed
 		if out.err == nil {
@@ -163,17 +104,6 @@ func quantileMs(ds []time.Duration, q float64) float64 {
 	slices.Sort(s)
 	i := int(math.Ceil(q*float64(len(s)))) - 1
 	return ms(s[min(max(i, 0), len(s)-1)])
-}
-
-func meanMs(ds []time.Duration) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return ms(sum) / float64(len(ds))
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -218,43 +148,49 @@ func measureBuild(build func() (keep any, err error)) (secs, mb float64, keep an
 	return secs, mb, keep, nil
 }
 
-// loadWindows is how many equal time slices the end-to-end latency and
-// throughput figures are taken over. Each metric is the median of its
-// per-window values, so a stall of the box that spans a minority of the
-// windows does not move it.
-const loadWindows = 5
+// p99Window is how many consecutive ops (in start order) each p99
+// estimate covers. A run's p99 is the median of these estimates, so a
+// stall of the box that spans a minority of the windows does not move
+// it; over the whole run the p99 is set by the worst 1 % of ops and
+// follows every such stall.
+const p99Window = 100
 
-// windowed returns the median over loadWindows equal slices of the
-// phase of each slice's p50 and p99 latency and its throughput. An op
-// belongs to the slice in which it started (open loop: was due).
-func (s loadStats) windowed() (p50, p99, thr float64) {
-	win := s.dur / loadWindows
-	lats := make([][]time.Duration, loadWindows)
-	for i, at := range s.at {
-		w := min(int(at/win), loadWindows-1)
-		lats[w] = append(lats[w], s.lats[i])
+// windowP99 returns the median over consecutive p99Window-op windows of
+// each window's p99 latency (with fewer ops, the p99 of all of them).
+func (s loadStats) windowP99() float64 {
+	order := make([]int, len(s.lats))
+	for i := range order {
+		order[i] = i
 	}
-	var p50s, p99s, thrs []float64
-	for _, l := range lats {
-		p50s = append(p50s, quantileMs(l, 0.50))
-		p99s = append(p99s, quantileMs(l, 0.99))
-		thrs = append(thrs, float64(len(l))/win.Seconds())
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(s.at[a], s.at[b]) })
+	var p99s []float64
+	win := make([]time.Duration, 0, p99Window)
+	for k := 0; k+p99Window <= len(order); k += p99Window {
+		win = win[:0]
+		for _, i := range order[k : k+p99Window] {
+			win = append(win, s.lats[i])
+		}
+		p99s = append(p99s, quantileMs(win, 0.99))
 	}
-	return median(p50s), median(p99s), median(thrs)
+	if len(p99s) == 0 {
+		return quantileMs(s.lats, 0.99)
+	}
+	return median(p99s)
 }
 
-// e2eValues assembles the end-to-end metrics of one load phase.
+// e2eValues assembles the end-to-end metrics of one load phase: the p50
+// latency and the throughput over all of its ops, the windowed p99, and
+// the medians over the builds.
 func e2eValues(setup, mb []float64, ls loadStats) map[string]float64 {
-	p50, p99, thr := ls.windowed()
-	fmt.Printf("latency: %d samples over %d windows; setup: %d builds\n", len(ls.lats), loadWindows, len(setup))
-	fmt.Printf("pooled over the whole phase: p50 %.4f ms, p99 %.4f ms, %.4f ops/s\n",
-		quantileMs(ls.lats, 0.5), quantileMs(ls.lats, 0.99), ls.throughput())
+	p99 := ls.windowP99()
+	fmt.Printf("latency: %d samples, p99 over %d-op windows; setup: %d builds\n", len(ls.lats), p99Window, len(setup))
+	fmt.Printf("pooled p99 over the whole phase: %.4f ms\n", quantileMs(ls.lats, 0.99))
 	return map[string]float64{
 		"setup_s":          median(setup),
 		"index_mb":         median(mb),
-		"latency_p50_ms":   p50,
+		"latency_p50_ms":   quantileMs(ls.lats, 0.5),
 		"latency_p99_ms":   p99,
-		"throughput_ops_s": thr,
+		"throughput_ops_s": ls.throughput(),
 	}
 }
 

@@ -60,10 +60,9 @@ func (r *report) violate(format string, args ...any) {
 
 // workloads maps each workload name to its runner.
 var workloads = map[string]func(runConfig) (*report, error){
-	"set-sample":  func(c runConfig) (*report, error) { return runSet(c, 1) },
-	"set-samplek": func(c runConfig) (*report, error) { return runSet(c, sampleKDraws) },
-	"vec-filter":  runVec,
-	"served":      runServed,
+	"set-sample": runSet,
+	"vec-filter": runVec,
+	"served":     runServed,
 }
 
 func main() {

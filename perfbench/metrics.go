@@ -24,27 +24,27 @@ type metricDef struct {
 // is 0 on a healthy run.
 var e2eMetrics = []metricDef{
 	{"setup_s", "s", "median time from generated inputs to a ready index (served: to a connected fleet)"},
-	{"latency_p50_ms", "ms", "per-op latency p50 (served: from when the request was due), median over the load windows"},
-	{"latency_p99_ms", "ms", "per-op latency p99, median over the load windows"},
-	{"throughput_ops_s", "1/s", "ops started per second, median over the load windows"},
+	{"latency_p50_ms", "ms", "per-op latency p50 over the load phase"},
+	{"latency_p99_ms", "ms", "per-op latency p99, median over windows of 100 consecutive ops"},
+	{"throughput_ops_s", "1/s", "ops completed per second over the load phase"},
 	{"index_mb", "MB", "median live heap after build and GC, minus the heap before"},
 }
 
 // layerMetrics are reported by every --trace 1 run. A layer that a
 // workload never enters reports 0 there.
 var layerMetrics = []metricDef{
-	{"core.arm_ms", "ms", "BeginShardPlan (resolve + estimate); moves latency_p50_ms on set-sample, less on set-samplek, not on vec-filter"},
-	{"lsh.sign_us", "us", "Signer.Sign of a query; moves latency_p50_ms on set-sample, less on set-samplek"},
+	{"core.arm_ms", "ms", "BeginShardPlan (resolve + estimate); moves latency_p50_ms on set-sample, not on vec-filter"},
+	{"lsh.sign_us", "us", "Signer.Sign of a query; moves latency_p50_ms on set-sample"},
 	{"lsh.recall", "ratio", "near points colliding with the query in some table over the exact ball size; an LSH parameter property, bounds what any draw can reach"},
-	{"lsh.buckets_per_query", "count", "QueryStats.BucketsScanned during arm; moves latency_p50_ms on set-sample, less on set-samplek"},
-	{"sketch.ids_per_query", "count", "bucket entries colliding with the query (PointsInspected of a full-range report on a fresh plan); moves latency_p50_ms on set-sample, less on set-samplek"},
-	{"sketch.estimate_ratio", "ratio", "estimate s-hat over exact ball size; moves latency_p50_ms on set-sample, less on set-samplek"},
-	{"core.rounds_per_draw", "count", "rejection rounds per draw; moves throughput_ops_s on set-samplek and latency_p50_ms on served"},
-	{"core.accept_ratio", "ratio", "draws found per round; moves throughput_ops_s on set-samplek and latency_p50_ms on served"},
-	{"core.memo_hit_ratio", "ratio", "memo hits per near test; moves throughput_ops_s on set-samplek and latency_p50_ms on served"},
-	{"core.merged_frac", "ratio", "share of ops that built the merged cursor; moves throughput_ops_s on set-samplek and latency_p50_ms on served"},
-	{"core.clamped_frac", "ratio", "share of ops in which an acceptance probability was clamped; moves throughput_ops_s on set-samplek and latency_p50_ms on served"},
-	{"rank.segment_us", "us", "ShardPlan.SegmentNearAt on seeded segments of armed plans; moves throughput_ops_s on set-samplek"},
+	{"lsh.buckets_per_query", "count", "QueryStats.BucketsScanned during arm; moves latency_p50_ms on set-sample"},
+	{"sketch.ids_per_query", "count", "bucket entries colliding with the query (PointsInspected of a full-range report on a fresh plan); moves latency_p50_ms on set-sample"},
+	{"sketch.estimate_ratio", "ratio", "estimate s-hat over exact ball size; moves latency_p50_ms on set-sample"},
+	{"core.rounds_per_draw", "count", "rejection rounds per draw; moves throughput_ops_s on set-sample and latency_p50_ms on served"},
+	{"core.accept_ratio", "ratio", "draws found per round; moves throughput_ops_s on set-sample and latency_p50_ms on served"},
+	{"core.memo_hit_ratio", "ratio", "memo hits per near test; moves throughput_ops_s on set-sample and latency_p50_ms on served"},
+	{"core.merged_frac", "ratio", "share of ops that built the merged cursor; moves throughput_ops_s on set-sample and latency_p50_ms on served"},
+	{"core.clamped_frac", "ratio", "share of ops in which an acceptance probability was clamped; moves throughput_ops_s on set-sample and latency_p50_ms on served"},
+	{"rank.segment_us", "us", "ShardPlan.SegmentNearAt on seeded segments of armed plans; moves throughput_ops_s on set-sample"},
 	{"vector.score_evals_per_draw", "count", "vector similarity evaluations per draw; moves latency_p50_ms on vec-filter, not the set workloads"},
 	{"vector.dot_ns", "ns", "vector.Dot at the workload's d; moves latency_p50_ms on vec-filter, not the set workloads"},
 	{"filter.plan_ms", "ms", "RecalledBall (filter plan + enumeration); moves latency_p50_ms on vec-filter"},
@@ -58,7 +58,6 @@ var layerMetrics = []metricDef{
 	{"shard.op_ms", "ms", "mean backend seam call (arm/segment/pick); moves latency_p50_ms and latency_p99_ms on served"},
 	{"core.retained_scratch_kb", "KB", "RetainedScratchBytes after the run; moves index_mb"},
 	{"obs.overhead_frac", "ratio", "1 - closed-loop throughput with the obs registry attached / without (served: client side)"},
-	{"bench.sched_lag_ms", "ms", "mean lateness of the open-loop generator on served"},
 }
 
 // newLayerValues returns a value map with every per-layer metric at 0,

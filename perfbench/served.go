@@ -21,19 +21,14 @@ import (
 
 // The served workload: a healthy loopback fleet of two wire.Server
 // shards over the servefix line spec (the integers 0..n-1 under absolute
-// distance), behind shard.Connect, driven open loop at a fixed rate.
+// distance), behind shard.Connect, driven closed loop by the
+// benchmark's clients over one connection per shard.
 const (
 	servedN         = 100_000
 	servedShards    = 2
 	servedRadius    = 40
 	servedFleetSeed = 0x5e7d
-	// servedRate is the open loop's Poisson arrival rate, in queries per
-	// second. The fleet's closed-loop capacity on a 2-core box swings
-	// between about 100 and 200 q/s with the box's load, and at 100 q/s
-	// slow spells pushed it into overload (p50 from 12 ms to 35 ms
-	// between runs); at 50 q/s it stays below half capacity.
-	servedRate   = 50
-	servedWarmup = 50
+	servedWarmup    = 50
 	// twinQueries is how many queries the wire-overhead comparison runs
 	// one at a time on the fleet and on its in-process twin.
 	twinQueries = 200
@@ -169,7 +164,7 @@ func runServed(cfg runConfig) (*report, error) {
 		setup, mb, fl = append(setup, secs), append(mb, heap), keep.(*fleet)
 	}
 	defer fl.close()
-	fmt.Printf("setup: line n=%d, %d shards at %v, r=%d, open loop at %d/s\n", servedN, servedShards, fl.addrs, servedRadius, servedRate)
+	fmt.Printf("setup: line n=%d, %d shards at %v, r=%d, %d clients closed loop\n", servedN, servedShards, fl.addrs, servedRadius, clients)
 
 	warm, wr := servedOp(fl.s, nil), clientRand(cfg.seed, "warmup", 0)
 	for range servedWarmup {
@@ -178,10 +173,9 @@ func runServed(cfg runConfig) (*report, error) {
 
 	rep := &report{}
 	if !cfg.trace {
-		ls := openLoop(cfg.seed, "load", clients, servedRate, cfg.dur, servedOp(fl.s, nil))
+		ls := closedLoop(cfg.seed, "load", clients, cfg.dur, servedOp(fl.s, nil))
 		rep.record(ls)
 		rep.values = e2eValues(setup, mb, ls)
-		fmt.Printf("open loop: %d due, mean lateness %.3f ms\n", len(ls.lats), meanMs(ls.lags))
 	} else {
 		v := newLayerValues()
 		if err := traceServed(cfg, fl, reg, rep, v); err != nil {
@@ -196,8 +190,8 @@ func runServed(cfg runConfig) (*report, error) {
 }
 
 // traceServed measures the served layers: the obs overhead on
-// closed-loop throughput, a traced open-loop phase at the workload's
-// rate, and the wire overhead against the in-process twin.
+// closed-loop throughput, a traced closed-loop phase, and the wire
+// overhead against the in-process twin.
 func traceServed(cfg runConfig, fl *fleet, reg *fairnn.Registry, rep *report, v map[string]float64) error {
 	// The overhead comparison alternates a telemetry-free client with an
 	// observed one (the servers record into reg in both). One client is
@@ -229,7 +223,7 @@ func traceServed(cfg runConfig, fl *fleet, reg *fairnn.Registry, rep *report, v 
 	draws0 := counterValue(reg, "fairnn_draws_total", "shard")
 	before := readWire(reg, fl)
 	acc := make([]opStats, clients)
-	ls := openLoop(cfg.seed, "trace", clients, servedRate, cfg.dur/2, servedOp(s, acc))
+	ls := closedLoop(cfg.seed, "trace", clients, cfg.dur/2, servedOp(s, acc))
 	rep.record(ls)
 	d := readWire(reg, fl).sub(before)
 	tot := sumStats(acc)
@@ -242,7 +236,6 @@ func traceServed(cfg runConfig, fl *fleet, reg *fairnn.Registry, rep *report, v 
 	v["wire.rtt_us"] = d.client.meanUs()
 	v["wire.server_us"] = d.server.meanUs()
 	v["shard.op_ms"] = d.shard.meanUs() / 1000
-	v["bench.sched_lag_ms"] = meanMs(ls.lags)
 	fmt.Printf("obs cross-check (wire): fairnn_client_request_seconds count %d, request frames on the sockets %d\n", d.client.n, d.frames)
 	if d.client.n != d.frames {
 		rep.violate("fairnn_client_request_seconds counted %d requests, the sockets carried %d", d.client.n, d.frames)

@@ -16,14 +16,17 @@ import (
 // The set workloads: the Last.FM-like user sets (1892 users) in a
 // Section 4 SetIndependent at Jaccard radius 0.2, queried by
 // "interesting" users (at least setMinNeighbours other users at
-// J ≥ 0.2) drawn from the seed.
+// J ≥ 0.2) drawn from the seed. The pool holds every interesting user
+// in a seeded order, so the mix of query costs is the same for every
+// seed; the seed picks the op sequence and which users the warm-up,
+// the probes and the uniformity check take (the head of the pool).
 const (
 	setRadius        = 0.2
 	setMinNeighbours = 20
-	setPoolSize      = 128
 	setIndexSeed     = 0x5e75
-	// sampleKDraws is the k of each set-samplek op.
-	sampleKDraws = 100
+	// setProbeQueries is how many pool queries the warm-up and the
+	// traced layer probes run.
+	setProbeQueries = 128
 )
 
 // setFixture is the generated input of the set workloads.
@@ -35,7 +38,7 @@ type setFixture struct {
 
 func newSetFixture(seed uint64) (*setFixture, error) {
 	f := &setFixture{sets: dataset.Generate(dataset.LastFMLike())}
-	f.pool = dataset.InterestingQueries(f.sets, setRadius, setMinNeighbours, setPoolSize, seed)
+	f.pool = dataset.InterestingQueries(f.sets, setRadius, setMinNeighbours, len(f.sets), seed)
 	if len(f.pool) == 0 {
 		return nil, errors.New("no interesting set queries")
 	}
@@ -50,9 +53,8 @@ func buildSetIndex(f *setFixture, reg *fairnn.Registry) (*fairnn.SetIndependent,
 	return fairnn.NewSetIndependent(f.sets, setRadius, fairnn.IndependentOptions{Obs: reg}, fairnn.Config{Seed: setIndexSeed})
 }
 
-// runSet runs set-sample (draws == 1: one Sample per op) or set-samplek
-// (one SampleK(q, draws) per op).
-func runSet(cfg runConfig, draws int) (*report, error) {
+// runSet runs set-sample: one Sample per op.
+func runSet(cfg runConfig) (*report, error) {
 	f, err := newSetFixture(cfg.seed)
 	if err != nil {
 		return nil, err
@@ -70,10 +72,6 @@ func runSet(cfg runConfig, draws int) (*report, error) {
 		len(f.sets), len(f.pool), sizeRange(f.balls), idx.Params())
 
 	rep := &report{}
-	bufs := make([][]int32, clients)
-	for c := range bufs {
-		bufs[c] = make([]int32, 0, draws)
-	}
 	// op draws from idx; with acc non-nil it also collects QueryStats.
 	op := func(idx *fairnn.SetIndependent, acc []opStats) opFunc {
 		return func(c int, r *rand.Rand) outcome {
@@ -84,30 +82,23 @@ func runSet(cfg runConfig, draws int) (*report, error) {
 				st = &core.QueryStats{}
 			}
 			o := outcome{start: time.Now()}
-			ids := bufs[c][:0]
-			if draws == 1 {
-				if id, ok := idx.Sample(q, st); ok {
-					ids = append(ids, id)
-				}
-			} else {
-				ids = idx.SampleKInto(q, draws, ids, st)
-			}
+			id, ok := idx.Sample(q, st)
 			o.end = time.Now()
-			o.failed = len(ids) < draws
-			for _, id := range ids {
+			o.failed = !ok
+			if ok {
 				if j := fairnn.Jaccard(f.sets[id], q); j < setRadius {
 					o.err = fmt.Errorf("far answer: user %d at J=%.4f from query user %d", id, j, f.pool[qi])
 				}
 			}
 			if acc != nil {
-				acc[c].add(st, draws, len(ids))
+				acc[c].add(st, 1, boolInt(ok))
 			}
 			return o
 		}
 	}
 	warm := func(idx *fairnn.SetIndependent) {
 		r, run := clientRand(cfg.seed, "warmup", 0), op(idx, nil)
-		for range f.pool {
+		for range min(setProbeQueries, len(f.pool)) {
 			run(0, r)
 		}
 	}
@@ -157,9 +148,9 @@ func probeSetLayers(seed uint64, f *setFixture, idx *fairnn.SetIndependent, v ma
 	r := clientRand(seed, "probe", 0)
 	var a armProbe
 	var estRatio, recall float64
-	queries := make([]fairnn.Set, len(f.pool))
-	for qi, u := range f.pool {
-		queries[qi] = f.sets[u]
+	queries := make([]fairnn.Set, min(setProbeQueries, len(f.pool)))
+	for qi := range queries {
+		queries[qi] = f.sets[f.pool[qi]]
 	}
 	for pass := 0; pass < passes; pass++ {
 		for qi, q := range queries {
