@@ -1,7 +1,6 @@
 package main
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -148,48 +147,20 @@ func measureBuild(build func() (keep any, err error)) (secs, mb float64, keep an
 	return secs, mb, keep, nil
 }
 
-// p99Window is how many consecutive ops (in start order) each p99
-// estimate covers. A run's p99 is the median of these estimates, so a
-// stall of the box that spans a minority of the windows does not move
-// it; over the whole run the p99 is set by the worst 1 % of ops and
-// follows every such stall.
-const p99Window = 100
-
-// windowP99 returns the median over consecutive p99Window-op windows of
-// each window's p99 latency (with fewer ops, the p99 of all of them).
-func (s loadStats) windowP99() float64 {
-	order := make([]int, len(s.lats))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(s.at[a], s.at[b]) })
-	var p99s []float64
-	win := make([]time.Duration, 0, p99Window)
-	for k := 0; k+p99Window <= len(order); k += p99Window {
-		win = win[:0]
-		for _, i := range order[k : k+p99Window] {
-			win = append(win, s.lats[i])
-		}
-		p99s = append(p99s, quantileMs(win, 0.99))
-	}
-	if len(p99s) == 0 {
-		return quantileMs(s.lats, 0.99)
-	}
-	return median(p99s)
-}
-
-// e2eValues assembles the end-to-end metrics of one load phase: the p50
-// latency and the throughput over all of its ops, the windowed p99, and
-// the medians over the builds.
+// e2eValues assembles the end-to-end metrics of one load phase, each
+// over all of its ops, and the medians over the builds. The tail figure
+// is the p90: a run holds a few thousand ops, so its p99 is set by a few
+// dozen of them, and on a shared box one short stall of the host lands
+// on that many; the p99 swung between runs of the same code where the
+// p90 held.
 func e2eValues(setup, mb []float64, ls loadStats) map[string]float64 {
-	p99 := ls.windowP99()
-	fmt.Printf("latency: %d samples, p99 over %d-op windows; setup: %d builds\n", len(ls.lats), p99Window, len(setup))
-	fmt.Printf("pooled p99 over the whole phase: %.4f ms\n", quantileMs(ls.lats, 0.99))
+	fmt.Printf("latency: %d samples; setup: %d builds\n", len(ls.lats), len(setup))
+	fmt.Printf("p99 over the whole phase: %.4f ms\n", quantileMs(ls.lats, 0.99))
 	return map[string]float64{
 		"setup_s":          median(setup),
 		"index_mb":         median(mb),
 		"latency_p50_ms":   quantileMs(ls.lats, 0.5),
-		"latency_p99_ms":   p99,
+		"latency_p90_ms":   quantileMs(ls.lats, 0.9),
 		"throughput_ops_s": ls.throughput(),
 	}
 }

@@ -25,7 +25,7 @@ type metricDef struct {
 var e2eMetrics = []metricDef{
 	{"setup_s", "s", "median time from generated inputs to a ready index (served: to a connected fleet)"},
 	{"latency_p50_ms", "ms", "per-op latency p50 over the load phase"},
-	{"latency_p99_ms", "ms", "per-op latency p99, median over windows of 100 consecutive ops"},
+	{"latency_p90_ms", "ms", "per-op latency p90 over the load phase"},
 	{"throughput_ops_s", "1/s", "ops completed per second over the load phase"},
 	{"index_mb", "MB", "median live heap after build and GC, minus the heap before"},
 }
@@ -50,12 +50,12 @@ var layerMetrics = []metricDef{
 	{"filter.plan_ms", "ms", "RecalledBall (filter plan + enumeration); moves latency_p50_ms on vec-filter"},
 	{"filter.evals_per_query", "count", "QueryStats.FilterEvals per op; moves latency_p50_ms on vec-filter"},
 	{"filter.buckets_per_query", "count", "QueryStats.BucketsScanned per op; moves latency_p50_ms on vec-filter"},
-	{"wire.rpcs_per_query", "count", "request/response round trips per query; moves latency_p50_ms and latency_p99_ms on served"},
-	{"wire.rtt_us", "us", "mean client round trip per RPC; moves latency_p50_ms and latency_p99_ms on served"},
-	{"wire.server_us", "us", "mean server handling time per RPC; moves latency_p50_ms and latency_p99_ms on served"},
-	{"wire.bytes_per_query", "B", "bytes on the fleet's sockets per query; moves latency_p50_ms and latency_p99_ms on served"},
+	{"wire.rpcs_per_query", "count", "request/response round trips per query; moves latency_p50_ms and latency_p90_ms on served"},
+	{"wire.rtt_us", "us", "mean client round trip per RPC; moves latency_p50_ms and latency_p90_ms on served"},
+	{"wire.server_us", "us", "mean server handling time per RPC; moves latency_p50_ms and latency_p90_ms on served"},
+	{"wire.bytes_per_query", "B", "bytes on the fleet's sockets per query; moves latency_p50_ms and latency_p90_ms on served"},
 	{"wire.overhead_ms", "ms", "served p50 minus the in-process twin's p50 on the same queries; moves latency_p50_ms on served"},
-	{"shard.op_ms", "ms", "mean backend seam call (arm/segment/pick); moves latency_p50_ms and latency_p99_ms on served"},
+	{"shard.op_ms", "ms", "mean backend seam call (arm/segment/pick); moves latency_p50_ms and latency_p90_ms on served"},
 	{"core.retained_scratch_kb", "KB", "RetainedScratchBytes after the run; moves index_mb"},
 	{"obs.overhead_frac", "ratio", "1 - closed-loop throughput with the obs registry attached / without (served: client side)"},
 }
