@@ -29,7 +29,6 @@ type opFunc func(c int, r *rand.Rand) outcome
 // loadStats aggregates one load phase.
 type loadStats struct {
 	lats      []time.Duration // per op
-	at        []time.Duration // per op: when it started, from the phase start
 	attempted int
 	failed    int
 	elapsed   time.Duration
@@ -64,7 +63,6 @@ func closedLoop(seed uint64, phase string, nclients int, d time.Duration, fn opF
 				o := fn(c, r)
 				st.attempted++
 				st.lats = append(st.lats, o.end.Sub(o.start))
-				st.at = append(st.at, o.start.Sub(start))
 				if o.failed {
 					st.failed++
 				}
@@ -83,7 +81,6 @@ func merge(per []loadStats, elapsed time.Duration) loadStats {
 	out := loadStats{elapsed: elapsed}
 	for _, s := range per {
 		out.lats = append(out.lats, s.lats...)
-		out.at = append(out.at, s.at...)
 		out.attempted += s.attempted
 		out.failed += s.failed
 		if out.err == nil {

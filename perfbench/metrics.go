@@ -45,8 +45,8 @@ var layerMetrics = []metricDef{
 	{"core.merged_frac", "ratio", "share of ops that built the merged cursor; moves throughput_ops_s on set-sample and latency_p50_ms on served"},
 	{"core.clamped_frac", "ratio", "share of ops in which an acceptance probability was clamped; moves throughput_ops_s on set-sample and latency_p50_ms on served"},
 	{"rank.segment_us", "us", "ShardPlan.SegmentNearAt on seeded segments of armed plans; moves throughput_ops_s on set-sample"},
-	{"vector.score_evals_per_draw", "count", "vector similarity evaluations per draw; moves latency_p50_ms on vec-filter, not the set workloads"},
-	{"vector.dot_ns", "ns", "vector.Dot at the workload's d; moves latency_p50_ms on vec-filter, not the set workloads"},
+	{"vector.score_evals_per_draw", "count", "vector similarity evaluations per draw; moves latency_p50_ms on vec-filter, not on set-sample"},
+	{"vector.dot_ns", "ns", "vector.Dot at the workload's d; moves latency_p50_ms on vec-filter, not on set-sample"},
 	{"filter.plan_ms", "ms", "RecalledBall (filter plan + enumeration); moves latency_p50_ms on vec-filter"},
 	{"filter.evals_per_query", "count", "QueryStats.FilterEvals per op; moves latency_p50_ms on vec-filter"},
 	{"filter.buckets_per_query", "count", "QueryStats.BucketsScanned per op; moves latency_p50_ms on vec-filter"},

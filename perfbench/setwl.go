@@ -13,7 +13,7 @@ import (
 	"fairnn/internal/rng"
 )
 
-// The set workloads: the Last.FM-like user sets (1892 users) in a
+// The set-sample workload: the Last.FM-like user sets (1892 users) in a
 // Section 4 SetIndependent at Jaccard radius 0.2, queried by
 // "interesting" users (at least setMinNeighbours other users at
 // J ≥ 0.2) drawn from the seed. The pool holds every interesting user
@@ -29,7 +29,7 @@ const (
 	setProbeQueries = 128
 )
 
-// setFixture is the generated input of the set workloads.
+// setFixture is the generated input of set-sample.
 type setFixture struct {
 	sets  []fairnn.Set
 	pool  []int     // query users
