@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	fairnn -exp fig1|fig2|fig3|q3|all [-scale small|paper] [-csv dir] [-seed n] [-memo auto|dense|compact] [-shards s]
+//	fairnn -exp fig1|fig2|fig3|q3|all [-scale small|paper] [-csv dir] [-seed n] [-shards s]
 //
 // The "paper" scale matches the publication protocol (50 queries, 26 000
 // repetitions, full-size datasets) and takes minutes; "small" (default)
@@ -18,23 +18,8 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"fairnn"
 	"fairnn/internal/experiments"
 )
-
-// parseMemo maps the -memo flag to the per-query memory discipline of the
-// pooled samplers (the PR 3 backend knob).
-func parseMemo(s string) (fairnn.MemoOptions, error) {
-	switch s {
-	case "", "auto":
-		return fairnn.MemoOptions{Backend: fairnn.MemoAuto}, nil
-	case "dense":
-		return fairnn.MemoOptions{Backend: fairnn.MemoDense}, nil
-	case "compact":
-		return fairnn.MemoOptions{Backend: fairnn.MemoCompact}, nil
-	}
-	return fairnn.MemoOptions{}, fmt.Errorf("unknown -memo value %q (want auto, dense or compact)", s)
-}
 
 func main() {
 	var (
@@ -42,15 +27,10 @@ func main() {
 		scale  = flag.String("scale", "small", "small (fast, same shapes) or paper (full protocol)")
 		csvDir = flag.String("csv", "", "directory to also write CSV files into (optional)")
 		seed   = flag.Uint64("seed", 0, "override the experiment seed (0 keeps defaults)")
-		memoF  = flag.String("memo", "auto", "per-query memo backend: auto | dense | compact")
 		shards = flag.Int("shards", 0, "shard count for the validate/scaling experiments (0 = unsharded only)")
 	)
 	flag.Parse()
 
-	memo, err := parseMemo(*memoF)
-	if err != nil {
-		fatal(err)
-	}
 	if *shards < 0 {
 		fatal(fmt.Errorf("-shards %d must be >= 0", *shards))
 	}
@@ -68,11 +48,11 @@ func main() {
 	case "fig3":
 		runFig3(paper, *csvDir, *seed)
 	case "q3":
-		runQ3(paper, *csvDir, *seed, memo)
+		runQ3(paper, *csvDir, *seed)
 	case "validate":
-		runValidate(paper, *seed, memo, *shards)
+		runValidate(paper, *seed, *shards)
 	case "scaling":
-		runScaling(paper, *seed, memo, *shards)
+		runScaling(paper, *seed, *shards)
 	case "chaos":
 		runChaos(paper, *seed, *shards)
 	case "serve":
@@ -81,9 +61,9 @@ func main() {
 		runFig1(paper, *csvDir, *seed)
 		runFig2(paper, *csvDir, *seed)
 		runFig3(paper, *csvDir, *seed)
-		runQ3(paper, *csvDir, *seed, memo)
-		runValidate(paper, *seed, memo, *shards)
-		runScaling(paper, *seed, memo, *shards)
+		runQ3(paper, *csvDir, *seed)
+		runValidate(paper, *seed, *shards)
+		runScaling(paper, *seed, *shards)
 		runChaos(paper, *seed, *shards)
 		runServe(paper, *seed, *shards)
 	default:
@@ -214,9 +194,8 @@ func runFig3(paper bool, csvDir string, seed uint64) {
 	}
 }
 
-func runQ3(paper bool, csvDir string, seed uint64, memo fairnn.MemoOptions) {
+func runQ3(paper bool, csvDir string, seed uint64) {
 	cfg := experiments.DefaultCost()
-	cfg.Memo = memo
 	if !paper {
 		cfg.Queries = 10
 		cfg.RepsPerQuery = 20
@@ -243,9 +222,8 @@ func runQ3(paper bool, csvDir string, seed uint64, memo fairnn.MemoOptions) {
 	}
 }
 
-func runValidate(paper bool, seed uint64, memo fairnn.MemoOptions, shards int) {
+func runValidate(paper bool, seed uint64, shards int) {
 	cfg := experiments.DefaultValidate()
-	cfg.Memo = memo
 	cfg.Shards = shards
 	if !paper {
 		cfg.Users = 400
@@ -263,9 +241,8 @@ func runValidate(paper bool, seed uint64, memo fairnn.MemoOptions, shards int) {
 	}
 }
 
-func runScaling(paper bool, seed uint64, memo fairnn.MemoOptions, shards int) {
+func runScaling(paper bool, seed uint64, shards int) {
 	cfg := experiments.DefaultScaling()
-	cfg.Memo = memo
 	cfg.Shards = shards
 	if !paper {
 		cfg.Ns = []int{500, 1000, 2000}

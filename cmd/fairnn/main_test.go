@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"fairnn"
 	"fairnn/internal/experiments"
 )
 
@@ -46,28 +45,5 @@ func TestShrinkFig1PreservesSetup(t *testing.T) {
 	}
 	if cfg.Builds <= 0 || cfg.RepsPerBuild <= 0 || cfg.Queries <= 0 {
 		t.Errorf("shrink produced degenerate scale: %+v", cfg)
-	}
-}
-
-func TestParseMemo(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want fairnn.MemoBackend
-	}{
-		{"auto", fairnn.MemoAuto},
-		{"", fairnn.MemoAuto},
-		{"dense", fairnn.MemoDense},
-		{"compact", fairnn.MemoCompact},
-	} {
-		m, err := parseMemo(tc.in)
-		if err != nil {
-			t.Fatalf("parseMemo(%q): %v", tc.in, err)
-		}
-		if m.Backend != tc.want {
-			t.Errorf("parseMemo(%q).Backend = %v, want %v", tc.in, m.Backend, tc.want)
-		}
-	}
-	if _, err := parseMemo("bogus"); err == nil {
-		t.Error("parseMemo(bogus) accepted")
 	}
 }

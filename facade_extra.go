@@ -49,8 +49,8 @@ type VecConfig struct {
 	CrossPolytope bool
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Memo is the per-query memory discipline (memo backend threshold,
-	// querier retention cap, scratch budget); an explicitly set
+	// Memo is the per-query memory discipline (querier retention cap,
+	// scratch budget); an explicitly set
 	// opts.Memo wins over this field.
 	Memo MemoOptions
 }

@@ -279,26 +279,21 @@
 //
 // # Memory budget
 //
-// Pooled per-query scratch is bounded. The memo tables backing the
-// rejection-loop caches come in two interchangeable flavors, selected by
+// Pooled per-query scratch is bounded. The memo table backing the
+// rejection-loop caches is a compact open-addressing table with
+// epoch-stamped slots, sized to the query's live candidate set (8 bytes
+// per slot for near/far verdicts, 16 for memoized similarities), so it
+// is o(n) by construction and allocated only once a query consults it.
 // MemoOptions (the Memo field of Config, VecConfig, IndependentOptions
-// and VecOptions): below MemoOptions.DenseThreshold indexed points
-// (default 2²⁰) each pooled querier carries dense epoch-stamped arrays —
-// the fastest lookups, at 8–16 bytes per indexed point — and above it a
-// compact open-addressing table sized to the query's live candidate set,
-// which is o(n) by construction. Operators can force either backend via
-// MemoOptions.Backend (MemoDense / MemoCompact). Independently, each
+// and VecOptions) bounds how much of that scratch outlives a query: each
 // index retains at most MemoOptions.MaxRetainedQueriers queriers across
-// checkouts and frees scratch past MemoOptions.ScratchBudget bytes on
-// release, so a one-time burst of G concurrent queries no longer pins
-// O(G·n) memory for the process lifetime. (When the resolved backend is
-// dense, the effective budget is raised to cover the dense arrays —
-// freeing them every release would turn pooling into a per-query O(n)
-// allocation; pick MemoCompact to bound scratch below that.) The backend choice affects
-// only cost, never any sampler's output distribution;
-// QueryStats.MemoProbes and ScoreCacheHits make the memo behavior
-// observable per query, and each structure's RetainedScratchBytes
-// reports what its pool currently pins.
+// checkouts, and frees a querier's scratch on release when it exceeds
+// MemoOptions.ScratchBudget bytes (default 32 MiB). A one-time burst of G
+// concurrent queries therefore never pins O(G·n) memory for the process
+// lifetime. Memoization affects only cost, never any sampler's output
+// distribution; QueryStats.MemoProbes and ScoreCacheHits make the memo
+// behavior observable per query, and each structure's
+// RetainedScratchBytes reports what its pool currently pins.
 //
 // # Performance
 //
@@ -329,10 +324,11 @@
 // but not guaranteed — to be bit-identical; where a last-bit difference
 // flips a threshold verdict, the sampler's actual contract (uniformity
 // on the ball) still holds and is pinned by the repo's chi-squared
-// stream tests. Measured on the reference box, the accelerated squared-
-// distance kernel is ~3.3× the portable one at d = 128 (see
-// BENCH_PR7.json for the full dimension sweep and the multi-core
-// throughput gauge).
+// stream tests. End to end, the accelerated tier pays at build time:
+// on the 4000-point, d = 128 Section 5 workload (perfbench vec-filter,
+// 4 interleaved pairs of runs, seeds 401–404, 2-core amd64) setup took
+// 1.8–2.1 s accelerated against 5.6–6.1 s with FAIRNN_NOASM=1, while
+// query p50 latency was unchanged.
 //
 // # Static guarantees
 //
@@ -437,23 +433,10 @@ type IndependentOptions = core.IndependentOptions
 type VecOptions = core.FilterIndependentOptions
 
 // MemoOptions is the per-query memory discipline shared by all samplers:
-// the dense→compact memo threshold, the querier-pool retention cap, and
-// the per-querier scratch budget (see the package's "Memory budget"
-// section). The zero value keeps the dense fast path at small n and
-// bounds pooled memory at large n.
+// the querier-pool retention cap and the per-querier scratch budget (see
+// the package's "Memory budget" section). The zero value is the default
+// discipline.
 type MemoOptions = core.MemoOptions
-
-// MemoBackend selects the per-query memo implementation.
-type MemoBackend = core.MemoBackend
-
-// Memo backend choices: MemoAuto picks dense below
-// MemoOptions.DenseThreshold points and compact above it; MemoDense and
-// MemoCompact force one side.
-const (
-	MemoAuto    = core.MemoAuto
-	MemoDense   = core.MemoDense
-	MemoCompact = core.MemoCompact
-)
 
 // Config controls LSH parameter selection for the set-based structures.
 // The zero value reproduces the paper's experimental setup: 1-bit MinHash,
@@ -474,8 +457,8 @@ type Config struct {
 	Recall float64
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Memo is the per-query memory discipline (memo backend threshold,
-	// querier retention cap, scratch budget). For structures that also
+	// Memo is the per-query memory discipline (querier retention cap,
+	// scratch budget). For structures that also
 	// take an IndependentOptions/VecOptions, an explicitly set
 	// opts.Memo wins over this field.
 	Memo MemoOptions

@@ -99,7 +99,7 @@ func goldenCases() []goldenCase {
 	setCase := func(name string, opts ...fairnn.Option) goldenCase {
 		return goldenCase{name, func(t *testing.T) goldenParts {
 			sets, qs := goldenSets()
-			opts = append(opts, fairnn.WithSeed(17), fairnn.WithMemo(fairnn.MemoOptions{Backend: fairnn.MemoCompact}))
+			opts = append(opts, fairnn.WithSeed(17))
 			s, err := fairnn.NewSet(sets, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +120,7 @@ func goldenCases() []goldenCase {
 				N: 600, Dim: 32, Alpha: 0.8, Beta: 0.5, BallSize: 20, MidSize: 60, Seed: 5,
 			})
 			s, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter),
-				fairnn.WithBeta(0.5), fairnn.WithSeed(9), fairnn.WithMemo(fairnn.MemoOptions{Backend: fairnn.MemoCompact}))
+				fairnn.WithBeta(0.5), fairnn.WithSeed(9))
 			if err != nil {
 				t.Fatal(err)
 			}

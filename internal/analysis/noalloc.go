@@ -33,7 +33,7 @@ import (
 // allocation in a hot function is visibly justified.
 //
 // Known holes, by design: dynamic calls (interface methods such as the
-// memoTable backends and sketch counters, and func-valued fields such as
+// sketch counters, and func-valued fields such as
 // nearFn/batchScore) are not chased, and FuncLit bodies are not
 // descended into once the literal itself is reported. The runtime
 // zero-alloc oracles remain the ground truth; this analyzer makes the
@@ -262,7 +262,7 @@ func (p *Pass) checkNoAllocCall(fd *ast.FuncDecl, call *ast.CallExpr, stack []as
 		return
 	}
 	if p.IsInterfaceMethod(call) {
-		// memoTable/Counter-style dynamic dispatch — not chased.
+		// Counter-style dynamic dispatch — not chased.
 		p.checkBoxing(fd, call, stack)
 		return
 	}

@@ -27,10 +27,8 @@ type FilterIndependentOptions struct {
 	// Default 0 means 200·(L+1)·(K+1) rounds, far beyond the expected
 	// O((b_β/b_α)·log n).
 	MaxRounds int
-	// Memo is the per-query memory discipline: which similarity-memo
-	// backend pooled queriers carry (dense 16 B/point arrays below
-	// Memo.DenseThreshold points, a compact o(n) table above) and how
-	// much scratch the querier pool may retain across checkouts.
+	// Memo is the per-query memory discipline: how many queriers the
+	// pool retains across checkouts and how much scratch each may keep.
 	Memo MemoOptions
 	// Obs, when non-nil, registers the draw-loop telemetry bundle
 	// (layer="filter") and records into it on every draw. A nil
@@ -106,7 +104,7 @@ func NewFilterIndependent(points []vector.Vec, alpha, beta float64, opts FilterI
 		alpha:  alpha,
 		beta:   beta,
 		opts:   opts,
-		memo:   opts.Memo.withDefaults().withDenseFloor(len(points), 16*len(points)),
+		memo:   opts.Memo.withDefaults(),
 		banks:  banks,
 		qseed:  src.Uint64(),
 		met:    obs.NewQueryMetrics(opts.Obs, "filter"),
@@ -146,17 +144,16 @@ type bucketRef struct {
 // existence check and every rejection round (and across all k loops of a
 // SampleK), and the rejection loop's mutable working set (flat candidate
 // copy, Fenwick tree, shuffle order). Steady-state queries touch only
-// this struct and therefore allocate nothing. The memo is a pluggable
-// backend (see memo.go): dense 16 B/point arrays below the point-count
-// threshold, a compact o(n) stamped hash table above it.
+// this struct and therefore allocate nothing. The memo is a compact o(n)
+// stamped hash table (see memo.go).
 type fiQuerier struct {
 	refs    []bucketRef
 	master  [][]int32
 	total   int
 	scratch filter.QueryScratch
 
-	// similarity memo backend; values are math.Float64bits(⟨q, p_id⟩).
-	sim memoTable
+	// similarity memo; values are math.Float64bits(⟨q, p_id⟩).
+	sim compactMemo
 
 	// rejection-loop working set.
 	flat     []int32
@@ -215,7 +212,7 @@ func (qr *fiQuerier) trim(budget int) {
 func (f *FilterIndependent) getQuerier() *fiQuerier {
 	qr := f.pool.Get()
 	if qr == nil {
-		qr = &fiQuerier{sim: newMemoTable(f.memo, len(f.points), true)}
+		qr = &fiQuerier{sim: compactMemo{wordVals: true}}
 	}
 	qr.sim.reset()
 	return qr
@@ -229,11 +226,6 @@ func (f *FilterIndependent) getQuerier() *fiQuerier {
 func (f *FilterIndependent) putQuerier(qr *fiQuerier) {
 	qr.trim(f.memo.ScratchBudget)
 	f.pool.Put(qr)
-}
-
-// MemoBackendInUse reports the resolved similarity-memo backend.
-func (f *FilterIndependent) MemoBackendInUse() MemoBackend {
-	return f.memo.resolveBackend(len(f.points))
 }
 
 // RetainedScratchBytes reports the backing-array footprint of the pooled
@@ -271,25 +263,11 @@ func (f *FilterIndependent) buildPlan(q vector.Vec, qr *fiQuerier, st *QueryStat
 }
 
 // simOf returns ⟨q, p_id⟩ through the epoch-stamped memo: each candidate
-// is scored at most once per query; repeats are charged to
-// st.ScoreCacheHits. The dense backend is special-cased so its hot path
-// stays two array loads; the compact backend goes through the memoTable
-// interface and charges st.MemoProbes.
+// is scored at most once per query; every lookup is charged to
+// st.MemoProbes and repeats to st.ScoreCacheHits.
 //
 //fairnn:noalloc
 func (f *FilterIndependent) simOf(qr *fiQuerier, q vector.Vec, id int32, st *QueryStats) float64 {
-	if d, ok := qr.sim.(*denseWordMemo); ok {
-		d.ensure()
-		if d.stamp[id] == d.epoch {
-			st.cacheHit()
-			return math.Float64frombits(d.vals[id])
-		}
-		st.score()
-		s := vector.Dot(q, f.points[id])
-		d.stamp[id] = d.epoch
-		d.vals[id] = math.Float64bits(s)
-		return s
-	}
 	st.memoProbe()
 	if v, ok := qr.sim.get(id); ok {
 		st.cacheHit()
@@ -313,8 +291,9 @@ const fiBatchBlock = 64
 // qr.pend, scored with one batched kernel call (bit-identical to the
 // per-pair vector.Dot on either kernel tier), memoized, and charged to
 // st.ScoreEvals and st.BatchScored. NaN marks a pending slot between the
-// two passes — indexed vectors with NaN components are outside every
-// sampler contract.
+// two passes: construction rejects non-finite coordinates and queries
+// with them are refused at the entry points, so a finite query against
+// finite points never produces a NaN score.
 //
 //fairnn:noalloc
 func (f *FilterIndependent) simBlock(qr *fiQuerier, q vector.Vec, ids []int32, st *QueryStats) []float64 {
@@ -324,27 +303,14 @@ func (f *FilterIndependent) simBlock(qr *fiQuerier, q vector.Vec, ids []int32, s
 	vals := qr.vals[:len(ids)]
 	pend := qr.pend[:0]
 	nan := math.NaN()
-	if d, ok := qr.sim.(*denseWordMemo); ok {
-		d.ensure()
-		for k, id := range ids {
-			if d.stamp[id] == d.epoch {
-				st.cacheHit()
-				vals[k] = math.Float64frombits(d.vals[id])
-			} else {
-				vals[k] = nan
-				pend = append(pend, id)
-			}
-		}
-	} else {
-		for k, id := range ids {
-			st.memoProbe()
-			if v, ok := qr.sim.get(id); ok {
-				st.cacheHit()
-				vals[k] = math.Float64frombits(v)
-			} else {
-				vals[k] = nan
-				pend = append(pend, id)
-			}
+	for k, id := range ids {
+		st.memoProbe()
+		if v, ok := qr.sim.get(id); ok {
+			st.cacheHit()
+			vals[k] = math.Float64frombits(v)
+		} else {
+			vals[k] = nan
+			pend = append(pend, id)
 		}
 	}
 	if len(pend) > 0 {
@@ -358,27 +324,14 @@ func (f *FilterIndependent) simBlock(qr *fiQuerier, q vector.Vec, ids []int32, s
 			st.BatchScored += len(pend)
 		}
 		j := 0
-		if d, ok := qr.sim.(*denseWordMemo); ok {
-			for k := range vals {
-				if !math.IsNaN(vals[k]) {
-					continue
-				}
-				id, s := pend[j], out[j]
-				vals[k] = s
-				d.stamp[id] = d.epoch
-				d.vals[id] = math.Float64bits(s)
-				j++
+		for k := range vals {
+			if !math.IsNaN(vals[k]) {
+				continue
 			}
-		} else {
-			for k := range vals {
-				if !math.IsNaN(vals[k]) {
-					continue
-				}
-				id, s := pend[j], out[j]
-				vals[k] = s
-				qr.sim.put(id, math.Float64bits(s))
-				j++
-			}
+			id, s := pend[j], out[j]
+			vals[k] = s
+			qr.sim.put(id, math.Float64bits(s))
+			j++
 		}
 	}
 	qr.pend = pend

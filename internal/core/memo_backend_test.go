@@ -1,14 +1,13 @@
 package core
 
-// Tests for the PR 3 memory discipline: the compact memo backend must be
-// an exact drop-in for the dense one (bit-identical sample streams across
-// every sampler), the compact table itself must survive epoch recycling
-// and growth, the bounded querier pool must cap burst memory, and the
-// whole compact path must be race-clean.
+// Tests for the memory discipline: the compact memo table must survive
+// epoch recycling and growth, the bounded querier pool must cap burst
+// memory, retained scratch must not grow with n, and the whole memo path
+// must be race-clean. Same-seed stream equality is pinned by the golden
+// digests (TestGoldenStreams in the fairnn package).
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"testing"
 
@@ -16,17 +15,6 @@ import (
 	"fairnn/internal/rng"
 	"fairnn/internal/vector"
 )
-
-func backendName(b MemoBackend) string {
-	switch b {
-	case MemoDense:
-		return "dense"
-	case MemoCompact:
-		return "compact"
-	default:
-		return "auto"
-	}
-}
 
 // TestCompactMemoTable unit-tests the open-addressing stamped table in
 // word mode (the similarity-memo layout, with the packed key+stamp slot
@@ -175,123 +163,12 @@ func TestCompactMemoAdversarialCollisions(t *testing.T) {
 	}
 }
 
-// newBackendIndependent builds the Section 4 structure with a forced memo
-// backend over a multi-bucket family (modFamily), so the rejection loop,
-// the merged cursor, and the memo all do real work.
-func newBackendIndependent(t *testing.T, backend MemoBackend, seed uint64) *Independent[int] {
-	t.Helper()
-	opts := IndependentOptions{Memo: MemoOptions{Backend: backend}}
-	d, err := NewIndependent[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 5}, lineDataset(128), 20, opts, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-// TestMemoBackendsIdenticalStreams is the seeded drop-in property: with
-// identical seeds, the dense-memo and compact-memo builds of every
-// sampler must emit bit-identical sample streams — the backend may change
-// cost, never output. Covered: Independent (NNIS Sample + SampleK),
-// Sampler (NNS Sample + SampleK), Weighted, and FilterIndependent
-// (Sample + SampleK over planted vectors).
-func TestMemoBackendsIdenticalStreams(t *testing.T) {
-	t.Run("nnis", func(t *testing.T) {
-		dense := newBackendIndependent(t, MemoDense, 211)
-		compact := newBackendIndependent(t, MemoCompact, 211)
-		for i := 0; i < 200; i++ {
-			q := i % 96
-			wantID, wantOK := dense.Sample(q, nil)
-			gotID, gotOK := compact.Sample(q, nil)
-			if wantID != gotID || wantOK != gotOK {
-				t.Fatalf("Sample(%d) #%d: compact (%d, %v), dense (%d, %v)", q, i, gotID, gotOK, wantID, wantOK)
-			}
-		}
-		for i := 0; i < 30; i++ {
-			want := dense.SampleK(5, 25, nil)
-			got := compact.SampleK(5, 25, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("SampleK #%d: compact %v, dense %v", i, got, want)
-			}
-		}
-	})
-
-	t.Run("nns", func(t *testing.T) {
-		mk := func(backend MemoBackend) *Sampler[int] {
-			s, err := NewSamplerMemo[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 5}, lineDataset(128), 20, MemoOptions{Backend: backend}, 223)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-		dense, compact := mk(MemoDense), mk(MemoCompact)
-		for q := 0; q < 60; q++ {
-			wantID, wantOK := dense.Sample(q, nil)
-			gotID, gotOK := compact.Sample(q, nil)
-			if wantID != gotID || wantOK != gotOK {
-				t.Fatalf("Sample(%d): compact (%d, %v), dense (%d, %v)", q, gotID, gotOK, wantID, wantOK)
-			}
-			if want, got := dense.SampleK(q, 10, nil), compact.SampleK(q, 10, nil); !slices.Equal(got, want) {
-				t.Fatalf("SampleK(%d): compact %v, dense %v", q, got, want)
-			}
-		}
-	})
-
-	t.Run("weighted", func(t *testing.T) {
-		mk := func(backend MemoBackend) *Weighted[int] {
-			opts := IndependentOptions{Memo: MemoOptions{Backend: backend}}
-			w, err := NewWeighted[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 4}, lineDataset(96), 15,
-				func(score float64) float64 { return 1 / (1 + score) }, 1, opts, 227)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}
-		dense, compact := mk(MemoDense), mk(MemoCompact)
-		for i := 0; i < 150; i++ {
-			q := i % 70
-			wantID, wantOK := dense.Sample(q, nil)
-			gotID, gotOK := compact.Sample(q, nil)
-			if wantID != gotID || wantOK != gotOK {
-				t.Fatalf("Weighted.Sample(%d) #%d: compact (%d, %v), dense (%d, %v)", q, i, gotID, gotOK, wantID, wantOK)
-			}
-		}
-	})
-
-	t.Run("filter", func(t *testing.T) {
-		w := plantedWorkload(t, 250, 12, 40, 0.8, 0.5, 229)
-		mk := func(backend MemoBackend) *FilterIndependent {
-			opts := FilterIndependentOptions{Memo: MemoOptions{Backend: backend}}
-			fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, opts, 233)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fi
-		}
-		dense, compact := mk(MemoDense), mk(MemoCompact)
-		for i := 0; i < 120; i++ {
-			wantID, wantOK := dense.Sample(w.Query, nil)
-			gotID, gotOK := compact.Sample(w.Query, nil)
-			if wantID != gotID || wantOK != gotOK {
-				t.Fatalf("Filter.Sample #%d: compact (%d, %v), dense (%d, %v)", i, gotID, gotOK, wantID, wantOK)
-			}
-		}
-		for i := 0; i < 20; i++ {
-			want := dense.SampleK(w.Query, 30, nil)
-			got := compact.SampleK(w.Query, 30, nil)
-			if !slices.Equal(got, want) {
-				t.Fatalf("Filter.SampleK #%d: compact %v, dense %v", i, got, want)
-			}
-		}
-	})
-}
-
 // TestCompactSimMemoExactBits pins that round-tripping similarities
 // through Float64bits in the compact table is exact: memoized repeats
 // must equal the directly computed inner product bit for bit.
 func TestCompactSimMemoExactBits(t *testing.T) {
 	w := plantedWorkload(t, 200, 10, 30, 0.8, 0.5, 239)
-	opts := FilterIndependentOptions{Memo: MemoOptions{Backend: MemoCompact}}
-	fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, opts, 241)
+	fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, FilterIndependentOptions{}, 241)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +187,7 @@ func TestCompactSimMemoExactBits(t *testing.T) {
 		t.Fatalf("ScoreCacheHits = %d, want 50", st.ScoreCacheHits)
 	}
 	if st.MemoProbes == 0 {
-		t.Fatal("compact sim memo recorded no probes")
+		t.Fatal("sim memo recorded no probes")
 	}
 }
 
@@ -320,7 +197,7 @@ func TestCompactSimMemoExactBits(t *testing.T) {
 // independent of the burst width.
 func TestQuerierPoolBurstBounded(t *testing.T) {
 	const retain = 3
-	opts := IndependentOptions{Memo: MemoOptions{Backend: MemoDense, MaxRetainedQueriers: retain}}
+	opts := IndependentOptions{Memo: MemoOptions{MaxRetainedQueriers: retain}}
 	d, err := NewIndependent[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 4}, lineDataset(256), 30, opts, 251)
 	if err != nil {
 		t.Fatal(err)
@@ -349,10 +226,11 @@ func TestQuerierPoolBurstBounded(t *testing.T) {
 	if got := d.RetainedQueriers(); got > retain {
 		t.Fatalf("pool retained %d queriers after a %d-goroutine burst, want <= %d", got, burst, retain)
 	}
-	// Each retained dense querier pins ~8 B/point of near-cache (once
-	// touched) plus small candidate buffers; the total must be far below
-	// what the burst would have pinned unbounded.
-	perQuerier := 8*d.N() + 4096
+	// Each retained querier pins at most a near-cache sized to the n
+	// distinct candidates it touched (8 B per slot at ≤ ¾ load) plus
+	// small candidate buffers; the total must be far below what the burst
+	// would have pinned unbounded.
+	perQuerier := 2*8*d.N() + 4096
 	if got := d.RetainedScratchBytes(); got > retain*perQuerier {
 		t.Fatalf("retained scratch %d B, want <= %d B", got, retain*perQuerier)
 	}
@@ -363,7 +241,6 @@ func TestQuerierPoolBurstBounded(t *testing.T) {
 // with the oversized backing arrays freed.
 func TestPutQuerierTrimsOversizedScratch(t *testing.T) {
 	opts := IndependentOptions{Memo: MemoOptions{
-		Backend:             MemoCompact,
 		MaxRetainedQueriers: 4,
 		ScratchBudget:       compactMemoBitSlotBytes * compactMemoMinCap, // one seed near-cache table exactly
 	}}
@@ -372,7 +249,7 @@ func TestPutQuerierTrimsOversizedScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// allCollide + a huge radius + a bulk draw makes one checkout touch
-	// thousands of distinct candidates, forcing the compact table well
+	// thousands of distinct candidates, forcing the memo table well
 	// past the seed capacity and the candidate buffers past the budget.
 	if got := d.SampleK(0, 200, nil); len(got) == 0 {
 		t.Fatal("bulk query failed")
@@ -395,7 +272,6 @@ func TestFilterTrimEnforcesSummedBudget(t *testing.T) {
 	w := plantedWorkload(t, 400, 12, 60, 0.8, 0.5, 277)
 	const budget = 2048
 	opts := FilterIndependentOptions{Memo: MemoOptions{
-		Backend:             MemoCompact,
 		MaxRetainedQueriers: 4,
 		ScratchBudget:       budget,
 	}}
@@ -414,36 +290,12 @@ func TestFilterTrimEnforcesSummedBudget(t *testing.T) {
 	}
 }
 
-// TestDenseBudgetFloorPreventsThrash pins the forced-dense semantics: a
-// ScratchBudget below the dense-array size must not free the memo on
-// every Put (which would silently turn pooling into a per-query O(n)
-// allocation) — the effective budget is floored at the dense footprint,
-// so the populated array survives in the pool.
-func TestDenseBudgetFloorPreventsThrash(t *testing.T) {
-	const n = 50_000
-	opts := IndependentOptions{Memo: MemoOptions{
-		Backend:             MemoDense,
-		MaxRetainedQueriers: 2,
-		ScratchBudget:       1024, // far below the 8n dense array
-	}}
-	d, err := NewIndependent[int](intSpace(), chunkFamily{width: 64}, lsh.Params{K: 1, L: 4}, lineDataset(n), 40, opts, 281)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Sample(100, nil); !ok {
-		t.Fatal("query failed")
-	}
-	if got := d.RetainedScratchBytes(); got < 8*n {
-		t.Fatalf("retained %d B; the dense near-cache (8n = %d B) must survive Put under the floored budget", got, 8*n)
-	}
-}
-
-// TestCompactPathConcurrentRace stress-tests the compact backend under
-// -race: interleaved Sample/SampleKInto across goroutines on a shared
-// compact-forced structure, with outputs checked against the ball.
+// TestCompactPathConcurrentRace stress-tests the memo path under -race:
+// interleaved Sample/SampleKInto across goroutines on a shared structure
+// with a small retention cap, with outputs checked against the ball.
 func TestCompactPathConcurrentRace(t *testing.T) {
 	const ballSize = 8
-	opts := IndependentOptions{Memo: MemoOptions{Backend: MemoCompact, MaxRetainedQueriers: 2}}
+	opts := IndependentOptions{Memo: MemoOptions{MaxRetainedQueriers: 2}}
 	d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 3}, lineDataset(64), float64(ballSize-1), opts, 263)
 	if err != nil {
 		t.Fatal(err)
@@ -473,35 +325,41 @@ func TestCompactPathConcurrentRace(t *testing.T) {
 }
 
 // TestCompactScratchSublinear is the CI smoke for the o(n) contract: on a
-// bucketed dataset the compact path's retained scratch must stay a small
-// fraction of the dense path's 8·n near-cache — at least the 10× headroom
-// the acceptance gate demands, with the same query load. The burst is
-// simulated deterministically (see burstScratch): each of the 8 pool
-// slots is populated by a real query and held checked out so the later
-// slots cannot reuse it, exactly the steady state after an 8-wide
-// concurrent burst.
+// bucketed dataset each query touches O(L·bucket) distinct candidates, so
+// the scratch pooled after an identical burst must not grow with n.
+// Quadrupling n must leave the retained bytes essentially unchanged (an
+// O(n) memo would quadruple them), and the per-querier footprint must stay
+// far below n bytes. The burst is simulated deterministically (see
+// burstScratch): each of the 8 pool slots is populated by a real query and
+// held checked out so the later slots cannot reuse it, exactly the steady
+// state after an 8-wide concurrent burst.
 func TestCompactScratchSublinear(t *testing.T) {
-	const n, queriers = 100_000, 8
-	run := func(backend MemoBackend) int {
-		opts := IndependentOptions{Memo: MemoOptions{Backend: backend, MaxRetainedQueriers: queriers}}
-		d, err := NewIndependent[int](intSpace(), chunkFamily{width: 64}, lsh.Params{K: 1, L: 4}, lineDataset(n), 40, opts, 269)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bytes, retained := burstScratch(d, queriers)
-		if retained != queriers {
-			t.Fatalf("retained %d queriers, want %d", retained, queriers)
-		}
-		return bytes
+	const n, queriers = 25_000, 8
+	small := retainedAfterBurst(t, n, queriers)
+	large := retainedAfterBurst(t, 4*n, queriers)
+	if 4*large > 5*small {
+		t.Fatalf("retained scratch grew with n: %d B at n = %d, %d B at n = %d; want <= 1.25x", small, n, large, 4*n)
 	}
-	denseBytes := run(MemoDense)
-	compactBytes := run(MemoCompact)
-	if compactBytes*10 > denseBytes {
-		t.Fatalf("compact retained %d B vs dense %d B; want <= 1/10", compactBytes, denseBytes)
+	if perQuerier := large / queriers; perQuerier > n {
+		t.Fatalf("per-querier scratch = %d B at n = %d; want o(n)", perQuerier, 4*n)
 	}
-	if perQuerier := compactBytes / queriers; perQuerier > n {
-		t.Fatalf("compact per-querier scratch = %d B at n = %d; want o(n)", perQuerier, n)
+}
+
+// retainedAfterBurst builds the Section 4 structure over n line points
+// with 64-wide chunk buckets and reports the scratch retained after an
+// identical `queriers`-wide burst (see burstScratch).
+func retainedAfterBurst(t testing.TB, n, queriers int) int {
+	t.Helper()
+	opts := IndependentOptions{Memo: MemoOptions{MaxRetainedQueriers: queriers}}
+	d, err := NewIndependent[int](intSpace(), chunkFamily{width: 64}, lsh.Params{K: 1, L: 4}, lineDataset(n), 40, opts, 269)
+	if err != nil {
+		t.Fatal(err)
 	}
+	bytes, retained := burstScratch(d, queriers)
+	if retained != queriers {
+		t.Fatalf("n = %d: retained %d queriers, want %d", n, retained, queriers)
+	}
+	return bytes
 }
 
 // burstScratch populates exactly `queriers` pooled queriers with real
@@ -537,12 +395,12 @@ func (f chunkFamily) New(r *rng.Source) lsh.Func[int] {
 
 func (chunkFamily) CollisionProb(float64) float64 { return 0.9 }
 
-// TestDenseMemoLazyForSampler pins the lazy dense allocation: the
-// Section 3 sampler never consults the near-cache, so its pooled queriers
-// must not pin the 8·n dense array at all.
-func TestDenseMemoLazyForSampler(t *testing.T) {
+// TestSamplerRetainsNoMemo pins the lazy memo allocation: the Section 3
+// sampler never consults the near-cache, so its pooled queriers must
+// retain 0 memo bytes.
+func TestSamplerRetainsNoMemo(t *testing.T) {
 	const n = 50_000
-	s, err := NewSamplerMemo[int](intSpace(), chunkFamily{width: 32}, lsh.Params{K: 1, L: 3}, lineDataset(n), 10, MemoOptions{Backend: MemoDense}, 271)
+	s, err := NewSampler[int](intSpace(), chunkFamily{width: 32}, lsh.Params{K: 1, L: 3}, lineDataset(n), 10, 271)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +408,12 @@ func TestDenseMemoLazyForSampler(t *testing.T) {
 		s.Sample(i, nil)
 		s.SampleK(i, 5, nil)
 	}
-	if got := s.RetainedScratchBytes(); got >= 8*n {
-		t.Fatalf("Sampler retained %d B (>= dense 8n = %d); near-cache must stay unallocated", got, 8*n)
+	if s.base.RetainedQueriers() == 0 {
+		t.Fatal("Sampler pooled no queriers")
+	}
+	memo := 0
+	s.base.pool.Fold(func(qr *querier) { memo += qr.near.retainedBytes() })
+	if memo != 0 {
+		t.Fatalf("Sampler queriers retain %d memo bytes; the near-cache must stay unallocated", memo)
 	}
 }

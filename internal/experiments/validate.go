@@ -27,10 +27,6 @@ type ValidateConfig struct {
 	// Samples per structure.
 	Samples int
 	Seed    uint64
-	// Memo is the per-query memory discipline passed to the pooled
-	// samplers; the zero value keeps the defaults (the CLI's -memo flag
-	// lands here).
-	Memo core.MemoOptions
 	// Shards, when > 0, adds a sharded Section 4 row: the same workload
 	// partitioned round-robin across Shards shards, so the uniformity and
 	// independence checks cover the two-stage union draw (the CLI's
@@ -143,7 +139,7 @@ func RunValidate(cfg ValidateConfig) (*ValidateResult, error) {
 	}
 
 	// Theorem 5: Appendix A rank-perturbation on a single repeated query.
-	smp, err := core.NewSamplerMemo[set.Set](space, lsh.OneBitMinHash{}, params, sets, cfg.Radius, cfg.Memo, cfg.Seed+1)
+	smp, err := core.NewSampler[set.Set](space, lsh.OneBitMinHash{}, params, sets, cfg.Radius, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +148,7 @@ func RunValidate(cfg ValidateConfig) (*ValidateResult, error) {
 	})
 
 	// Theorem 2: the Section 4 NNIS structure.
-	ind, err := core.NewIndependent[set.Set](space, lsh.OneBitMinHash{}, params, sets, cfg.Radius, core.IndependentOptions{Memo: cfg.Memo}, cfg.Seed+2)
+	ind, err := core.NewIndependent[set.Set](space, lsh.OneBitMinHash{}, params, sets, cfg.Radius, core.IndependentOptions{}, cfg.Seed+2)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +161,7 @@ func RunValidate(cfg ValidateConfig) (*ValidateResult, error) {
 	if cfg.Shards > 0 {
 		sh, err := shard.Build[set.Set](space, lsh.OneBitMinHash{},
 			func(int) lsh.Params { return params }, sets, cfg.Radius,
-			core.IndependentOptions{Memo: cfg.Memo}, cfg.Shards, shard.RoundRobin{}, cfg.Seed+5)
+			core.IndependentOptions{}, cfg.Shards, shard.RoundRobin{}, cfg.Seed+5)
 		if err != nil {
 			return nil, err
 		}

@@ -166,8 +166,8 @@ func WithParams(k, l int) Option {
 	}
 }
 
-// WithMemo sets the per-query memory discipline (memo backend threshold,
-// querier retention cap, scratch budget). A Memo set inside
+// WithMemo sets the per-query memory discipline (querier retention cap,
+// scratch budget). A Memo set inside
 // WithIndependentOptions/WithVecOptions wins over this, mirroring the
 // legacy opts-over-Config precedence.
 func WithMemo(m MemoOptions) Option {

@@ -54,7 +54,7 @@ ROOT_PATTERN='BenchmarkQuerySamplerNNS|BenchmarkQuerySampleRepeated|BenchmarkQue
 # Kernel microbenches (internal packages): the segment report that the
 # merged cursor accelerates, the distance-kernel dimension sweep (each
 # dimension runs a scalar and an accel sub-benchmark), and the
-# dense-vs-compact memo lookup.
+# memo lookup.
 MICRO_PATTERN='BenchmarkSegmentNear|BenchmarkSquaredEuclidean|BenchmarkDot$|BenchmarkEuclideanSqrt|BenchmarkNearCached'
 
 RAW="$(mktemp)"
@@ -69,8 +69,9 @@ go test -run '^$' -bench "$ROOT_PATTERN" -benchmem -benchtime "$BENCHTIME" . | t
 go test -run '^$' -bench "$MICRO_PATTERN" -benchmem -benchtime "$BENCHTIME" \
 	./internal/core ./internal/vector | tee -a "$RAW"
 
-# Pooled-scratch footprint gauge: dense vs compact retained bytes after a
-# burst of FOOTPRINT_QUERIERS concurrent checkouts at FOOTPRINT_N points.
+# Pooled-scratch footprint gauge: retained bytes after a burst of
+# FOOTPRINT_QUERIERS concurrent checkouts at FOOTPRINT_N/4 and FOOTPRINT_N
+# points.
 FAIRNN_FOOTPRINT_N="$FOOTPRINT_N" FAIRNN_FOOTPRINT_QUERIERS="$FOOTPRINT_QUERIERS" \
 	go test -run 'TestPooledScratchFootprintGauge' -count=1 -v ./internal/core | tee "$FOOT"
 
@@ -131,7 +132,7 @@ BEGIN {
         }
     }
     close(pr9json)
-    # Footprint gauge lines: FOOTPRINT backend=dense n=... queriers=...
+    # Footprint gauge lines: FOOTPRINT n=... queriers=...
     # retained_bytes=... per_querier_bytes=...
     nf = 0
     while ((getline line < footfile) > 0) {
@@ -141,14 +142,9 @@ BEGIN {
         first_kv = 1
         for (i = 2; i <= np; i++) {
             split(parts[i], kv, "=")
-            if (kv[1] == "backend")
-                pair = sprintf("\"backend\": \"%s\"", kv[2])
-            else
-                pair = sprintf("\"%s\": %s", kv[1], kv[2])
+            pair = sprintf("\"%s\": %s", kv[1], kv[2])
             row = row (first_kv ? "" : ", ") pair
             first_kv = 0
-            if (kv[1] == "backend") fb = kv[2]
-            if (kv[1] == "retained_bytes") foot_bytes[fb] = kv[2]
         }
         foot[nf++] = row "}"
     }
@@ -314,8 +310,6 @@ END {
     printf ",\n  \"footprint\": [\n" >> out
     for (i = 0; i < nf; i++) printf "%s%s\n", foot[i], (i < nf-1 ? "," : "") >> out
     printf "  ]" >> out
-    if (("dense" in foot_bytes) && ("compact" in foot_bytes) && foot_bytes["dense"]+0 > 0)
-        printf ",\n  \"footprint_compact_over_dense\": %.4f", foot_bytes["compact"] / foot_bytes["dense"] >> out
     printf ",\n  \"shard_sweep\": [\n" >> out
     for (i = 0; i < nsweep; i++) printf "%s%s\n", sweep[i], (i < nsweep-1 ? "," : "") >> out
     printf "  ]" >> out
