@@ -51,7 +51,7 @@
 //	)
 //
 // Option validation returns typed errors (ErrBadRadius, ErrNoPoints,
-// ErrDimMismatch, ErrBadOption) matched with errors.Is. The legacy
+// ErrDimMismatch, ErrNonFinite, ErrBadOption) matched with errors.Is. The legacy
 // constructors (NewSetSampler, NewSetIndependent, ...) remain fully
 // supported — the builder delegates to them, so a builder-made sampler
 // produces bit-identical same-seed sample streams to its legacy twin.
@@ -63,7 +63,10 @@
 // zero-allocation steady state is preserved), so a query spinning under
 // an adversarial workload returns context.Canceled or
 // context.DeadlineExceeded within one check interval; a failed but
-// uncanceled query returns ErrNoSample. Samples returns an unbounded
+// uncanceled query returns ErrNoSample, and a malformed query (a Set that
+// is not strictly increasing, a Vec of the wrong dimension or with a
+// NaN/±Inf coordinate) returns ErrBadQuery. The plain Sample and SampleK
+// return no sample for a malformed query instead of panicking. Samples returns an unbounded
 // independent sample stream as a Go iterator with no output buffer:
 //
 //	for id, err := range s.Samples(ctx, q) {
@@ -220,6 +223,12 @@
 //     survivors-only union ball. Each such draw is still exactly
 //     uniform — over a smaller population — so this counter is the
 //     operator's measure of how often answers carried that asterisk.
+//   - fairnn_draws_clamped_total counts draws in which an acceptance
+//     probability exceeded 1 and was clamped (QueryStats.Clamped): the
+//     one event that breaks exact uniformity. Under correctly chosen
+//     constants it stays at zero; a rising rate means the fairness
+//     guarantee is no longer holding exactly (λ too small for the
+//     workload, or a weight above wMax).
 //   - fairnn_shard_op_latency_seconds / _errors_total / _retries_total
 //     (labeled by shard and arm/segment/pick), the backoff counters,
 //     and fairnn_shard_health_down_total / _readmit_total watch the

@@ -20,20 +20,30 @@ import (
 // paper's constants). It corresponds exactly to ok=false from Sample.
 var ErrNoSample = core.ErrNoSample
 
+// ErrBadQuery is returned by SampleContext (and yielded once by Samples)
+// when the query is malformed for the index: a Set that is not strictly
+// increasing (build it with SetFromSlice), or a Vec whose dimension
+// differs from the indexed vectors' or that has a NaN/±Inf coordinate.
+// Sample, SampleK and SampleKInto return no sample for such a query;
+// they never panic on it.
+var ErrBadQuery = core.ErrBadQuery
+
 // Sampler is the uniform near-neighbor sampling contract shared by every
 // structure in the library (P is the point type: Set or Vec).
 //
 // The methods split into three groups:
 //
 //   - Plain queries: Sample draws one id from B_S(q, r) (ok=false when
-//     nothing near is recalled); SampleK draws k — with or without
-//     replacement depending on the structure, see each type's docs — and
-//     SampleKInto is its zero-allocation variant writing into dst.
+//     nothing near is recalled or q is malformed); SampleK draws k — with
+//     or without replacement depending on the structure, see each type's
+//     docs — and SampleKInto is its zero-allocation variant writing into
+//     dst (both return no ids for a malformed q).
 //   - Context-aware queries: SampleContext is Sample under a context —
 //     the Section 4/5 rejection loops poll ctx.Err() every few dozen
 //     rounds, so a query spinning under deadline pressure returns
 //     context.DeadlineExceeded (or context.Canceled) within one check
-//     interval; a failed but uncanceled query returns ErrNoSample.
+//     interval; a failed but uncanceled query returns ErrNoSample, and a
+//     malformed query ErrBadQuery.
 //     Samples returns an unbounded sample stream (Go 1.23 iterator) with
 //     no output buffer — the natural shape for online audits and
 //     reservoir consumers; the stream ends when the consumer breaks, ctx

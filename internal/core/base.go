@@ -374,6 +374,14 @@ func (b *rankedBase[P]) RetainedScratchBytes() int {
 // RetainedQueriers reports how many queriers the pool currently holds.
 func (b *rankedBase[P]) RetainedQueriers() int { return b.pool.Retained() }
 
+// validQuery is the query check of every rankedBase entry point (see
+// Space.QueryOK).
+//
+//fairnn:noalloc
+func (b *rankedBase[P]) validQuery(q P, st *QueryStats) bool {
+	return b.space.ValidQuery(q, b.points, st)
+}
+
 // resolve hashes q once — one single-pass signature reduced to L bucket
 // keys — and fills qr.keys and qr.buckets, charging one bucket lookup per
 // table. Query paths that probe the same buckets many times (the Section 4

@@ -26,6 +26,17 @@ import (
 // Sample.
 var ErrNoSample = errors.New("core: no near point sampled")
 
+// ErrBadQuery is returned by SampleContext (and yielded by Samples) when
+// the query is malformed for the index (see Space.QueryOK): a set that is
+// not strictly increasing, or a vector of the wrong dimension or with a
+// NaN/±Inf coordinate. Sample and SampleK return no sample for such a
+// query.
+var ErrBadQuery = errors.New("core: malformed query")
+
+// ErrNonFinite is returned at construction when an indexed vector has a
+// NaN or ±Inf coordinate; the error message names the point.
+var ErrNonFinite = errors.New("core: non-finite vector coordinate")
+
 // ctxCheckRounds is the rejection-loop cancellation granularity: loops
 // poll ctx.Err() once per this many rounds. A round is a few hundred
 // nanoseconds, so cancellation latency stays in the tens of microseconds

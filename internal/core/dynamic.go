@@ -174,8 +174,11 @@ func (d *Dynamic[P]) Delete(id int32) bool {
 
 // Sample returns the minimum-priority near point across q's buckets — a
 // uniform sample from the recalled ball, exactly as in Theorem 1 with
-// priorities playing the role of ranks.
+// priorities playing the role of ranks. ok=false also for a malformed q.
 func (d *Dynamic[P]) Sample(q P, st *QueryStats) (id int32, ok bool) {
+	if !d.space.ValidQuery(q, d.points, st) {
+		return 0, false
+	}
 	best := int32(-1)
 	bestPrio := 2.0
 	sc := d.resolveKeys(q)
@@ -216,10 +219,11 @@ func (d *Dynamic[P]) SampleK(q P, k int, st *QueryStats) []int32 {
 }
 
 // SampleKInto is SampleK writing into dst (reset to length zero and grown
-// as needed), for callers amortizing the output buffer.
+// as needed), for callers amortizing the output buffer. A malformed q
+// yields no samples.
 func (d *Dynamic[P]) SampleKInto(q P, k int, dst []int32, st *QueryStats) []int32 {
 	dst = dst[:0]
-	if k <= 0 {
+	if k <= 0 || !d.space.ValidQuery(q, d.points, st) {
 		return dst
 	}
 	sc := d.resolveKeys(q)
@@ -272,10 +276,14 @@ func (d *Dynamic[P]) SampleKInto(q P, k int, dst []int32, st *QueryStats) []int3
 
 // SampleContext is Sample under a context. The dynamic query is a bounded
 // priority scan with no rejection loop, so cancellation is checked once
-// up front; a failed (but uncanceled) query returns ErrNoSample.
+// up front; a failed (but uncanceled) query returns ErrNoSample and a
+// malformed one ErrBadQuery.
 func (d *Dynamic[P]) SampleContext(ctx context.Context, q P, st *QueryStats) (int32, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
+	}
+	if !d.space.ValidQuery(q, d.points, st) {
+		return 0, ErrBadQuery
 	}
 	id, ok := d.Sample(q, st)
 	return sampleCtxResult(ctx, id, ok)

@@ -26,8 +26,12 @@ func NewExact[P any](space Space[P], points []P, radius float64, seed uint64) *E
 	return &Exact[P]{space: space, points: points, radius: radius, qseed: seed}
 }
 
-// Ball returns the ids of all points within radius of q.
+// Ball returns the ids of all points within radius of q (none when q is
+// malformed; see Space.QueryOK).
 func (e *Exact[P]) Ball(q P, st *QueryStats) []int32 {
+	if !e.space.ValidQuery(q, e.points, st) {
+		return nil
+	}
 	var out []int32
 	for id := range e.points {
 		st.point()
@@ -101,10 +105,13 @@ func (e *Exact[P]) SampleKInto(q P, k int, dst []int32, st *QueryStats) []int32 
 
 // SampleContext is Sample under a context. The exact scan is a single
 // bounded pass over the points, so cancellation is checked once up front;
-// an empty ball returns ErrNoSample.
+// an empty ball returns ErrNoSample and a malformed query ErrBadQuery.
 func (e *Exact[P]) SampleContext(ctx context.Context, q P, st *QueryStats) (int32, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
+	}
+	if !e.space.ValidQuery(q, e.points, st) {
+		return 0, ErrBadQuery
 	}
 	id, ok := e.Sample(q, st)
 	return sampleCtxResult(ctx, id, ok)

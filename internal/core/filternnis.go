@@ -80,10 +80,14 @@ type FilterIndependent struct {
 }
 
 // NewFilterIndependent indexes unit vectors for inner-product threshold
-// alpha with far threshold beta (−1 < beta < alpha < 1).
+// alpha with far threshold beta (−1 < beta < alpha < 1). A point with a
+// NaN or ±Inf coordinate is rejected with ErrNonFinite.
 func NewFilterIndependent(points []vector.Vec, alpha, beta float64, opts FilterIndependentOptions, seed uint64) (*FilterIndependent, error) {
 	if len(points) == 0 {
 		return nil, errors.New("core: empty point set")
+	}
+	if err := CheckFinite(points); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults(len(points))
 	src := rng.New(seed)
@@ -239,6 +243,18 @@ func (f *FilterIndependent) RetainedScratchBytes() int {
 // RetainedQueriers reports how many queriers the pool currently holds.
 func (f *FilterIndependent) RetainedQueriers() int { return f.pool.Retained() }
 
+// validQuery is the query check of every entry point: q must match the
+// indexed dimension and have finite coordinates (see Space.QueryOK).
+//
+//fairnn:noalloc
+func (f *FilterIndependent) validQuery(q vector.Vec, st *QueryStats) bool {
+	if vecQueryOK(q, f.points) {
+		return true
+	}
+	st.found(false)
+	return false
+}
+
 // buildPlan gathers the selected buckets of all banks for one query into
 // the querier. The plan is deterministic given (structure, query): all
 // sampling randomness lives in the rejection loop, so one plan can serve
@@ -282,18 +298,20 @@ func (f *FilterIndependent) simOf(qr *fiQuerier, q vector.Vec, id int32, st *Que
 // fiBatchBlock is the scoring block of the existence scan: candidates are
 // memo-probed and kernel-scored this many at a time. Large enough to
 // amortize kernel dispatch, small enough that an early near hit wastes at
-// most one block of speculative scores.
+// most one block of speculative scores. At most 64: simBlock tracks a
+// block's pending slots in one uint64 mask.
 const fiBatchBlock = 64
 
-// simBlock fills qr.vals[k] = ⟨q, p_ids[k]⟩ for one candidate block and
-// returns the filled slice. Memo hits are read back (charged to
-// st.ScoreCacheHits, exactly like simOf); misses are gathered into
-// qr.pend, scored with one batched kernel call (bit-identical to the
-// per-pair vector.Dot on either kernel tier), memoized, and charged to
-// st.ScoreEvals and st.BatchScored. NaN marks a pending slot between the
-// two passes: construction rejects non-finite coordinates and queries
-// with them are refused at the entry points, so a finite query against
-// finite points never produces a NaN score.
+// simBlock fills qr.vals[k] = ⟨q, p_ids[k]⟩ for one block of at most
+// fiBatchBlock candidates and returns the filled slice. Memo hits are
+// read back (charged to st.ScoreCacheHits, exactly like simOf); misses
+// are gathered into qr.pend, scored with one batched kernel call
+// (bit-identical to the per-pair vector.Dot on either kernel tier),
+// memoized, and charged to st.ScoreEvals and st.BatchScored. A bit mask
+// marks the pending slots between the two passes, so no score value is
+// reserved as a sentinel: even a NaN similarity (an overflowing dot
+// product; non-finite coordinates are refused at build and query time)
+// is memoized and read back like any other.
 //
 //fairnn:noalloc
 func (f *FilterIndependent) simBlock(qr *fiQuerier, q vector.Vec, ids []int32, st *QueryStats) []float64 {
@@ -302,14 +320,14 @@ func (f *FilterIndependent) simBlock(qr *fiQuerier, q vector.Vec, ids []int32, s
 	}
 	vals := qr.vals[:len(ids)]
 	pend := qr.pend[:0]
-	nan := math.NaN()
+	var pending uint64 // bit k set: ids[k] missed the memo
 	for k, id := range ids {
 		st.memoProbe()
 		if v, ok := qr.sim.get(id); ok {
 			st.cacheHit()
 			vals[k] = math.Float64frombits(v)
 		} else {
-			vals[k] = nan
+			pending |= 1 << k
 			pend = append(pend, id)
 		}
 	}
@@ -325,7 +343,7 @@ func (f *FilterIndependent) simBlock(qr *fiQuerier, q vector.Vec, ids []int32, s
 		}
 		j := 0
 		for k := range vals {
-			if !math.IsNaN(vals[k]) {
+			if pending&(1<<k) == 0 {
 				continue
 			}
 			id, s := pend[j], out[j]
@@ -356,8 +374,11 @@ func (f *FilterIndependent) multiplicity(qr *fiQuerier, id int32) int {
 // QueryNN is the plain (α, β)-NN query of Section 5.1/Theorem 3 run on all
 // banks: it returns the first candidate with inner product ≥ beta, scanning
 // the selected buckets (in stored order). ok=false when no such point is in
-// any candidate bucket.
+// any candidate bucket or q is malformed.
 func (f *FilterIndependent) QueryNN(q vector.Vec, st *QueryStats) (id int32, ok bool) {
+	if !f.validQuery(q, st) {
+		return 0, false
+	}
 	qr := f.getQuerier()
 	defer f.putQuerier(qr)
 	for _, bank := range f.banks {
@@ -380,7 +401,8 @@ func (f *FilterIndependent) QueryNN(q vector.Vec, st *QueryStats) (id int32, ok 
 }
 
 // Sample returns a uniform, independent sample from B_S(q, α) = {p : ⟨p,q⟩ ≥ α},
-// or ok=false when no near point appears in the selected buckets.
+// or ok=false when no near point appears in the selected buckets or q is
+// malformed (SampleContext tells these apart).
 //
 //fairnn:noalloc
 func (f *FilterIndependent) Sample(q vector.Vec, st *QueryStats) (id int32, ok bool) {
@@ -393,12 +415,16 @@ func (f *FilterIndependent) Sample(q vector.Vec, st *QueryStats) (id int32, ok b
 // the rejection loop polls ctx.Err() every ctxCheckRounds rounds, so a
 // query spinning on a mid-heavy (β, α) workload returns ctx's error
 // within one check interval instead of burning its MaxRounds budget. A
-// failed (but uncanceled) query returns ErrNoSample. The poll draws no
-// randomness and the Background path allocates nothing, so Sample's draw
-// order, output and zero-allocation steady state are unchanged.
+// failed (but uncanceled) query returns ErrNoSample and a malformed one
+// ErrBadQuery. The poll draws no randomness and the Background path
+// allocates nothing, so Sample's draw order, output and zero-allocation
+// steady state are unchanged.
 //
 //fairnn:noalloc
 func (f *FilterIndependent) SampleContext(ctx context.Context, q vector.Vec, st *QueryStats) (int32, error) {
+	if !f.validQuery(q, st) {
+		return 0, ErrBadQuery
+	}
 	qr := f.getQuerier()
 	defer f.putQuerier(qr)
 	f.buildPlan(q, qr, st)
@@ -411,9 +437,13 @@ func (f *FilterIndependent) SampleContext(ctx context.Context, q vector.Vec, st 
 // the similarity memo carries across draws (the SampleK amortization,
 // without a bounded output buffer). The stream ends when the consumer
 // breaks, when ctx is done (yielding ctx.Err() once), or when a draw
-// fails (yielding ErrNoSample).
+// fails (yielding ErrNoSample; ErrBadQuery for a malformed query).
 func (f *FilterIndependent) Samples(ctx context.Context, q vector.Vec) iter.Seq2[int32, error] {
 	return func(yield func(int32, error) bool) {
+		if !f.validQuery(q, nil) {
+			yield(0, ErrBadQuery)
+			return
+		}
 		qr := f.getQuerier()
 		defer f.putQuerier(qr)
 		f.buildPlan(q, qr, nil)
@@ -452,8 +482,10 @@ func (f *FilterIndependent) sampleFromPlan(ctx context.Context, q vector.Vec, qr
 	preBatch, preEvals := st.BatchScored, st.ScoreEvals
 	t0 := time.Now()
 	id, ok := f.drawFromPlan(ctx, q, qr, st)
+	// The Section 5 acceptance probability 1/c_p never exceeds 1, so a
+	// filter draw is never clamped.
 	m.ObserveDraw(time.Since(t0), ok, st.Rounds-preRounds, st.ScoreCacheHits-preHits,
-		st.BatchScored-preBatch, st.ScoreEvals-preEvals, false)
+		st.BatchScored-preBatch, st.ScoreEvals-preEvals, false, false)
 	return id, ok
 }
 
@@ -576,8 +608,12 @@ func (f *FilterIndependent) drawFromPlan(ctx context.Context, q vector.Vec, qr *
 // RecalledBall returns the distinct near points (⟨p, q⟩ ≥ α) present in
 // the query's selected buckets — the portion of the true ball the structure
 // can sample from. The plan is deterministic per (structure, query), so
-// this is the exact support of Sample's output distribution.
+// this is the exact support of Sample's output distribution (empty for a
+// malformed q).
 func (f *FilterIndependent) RecalledBall(q vector.Vec, st *QueryStats) []int32 {
+	if !f.validQuery(q, st) {
+		return nil
+	}
 	qr := f.getQuerier()
 	defer f.putQuerier(qr)
 	f.buildPlan(q, qr, st)
@@ -609,12 +645,13 @@ func (f *FilterIndependent) SampleK(q vector.Vec, k int, st *QueryStats) []int32
 }
 
 // SampleKInto is SampleK writing into dst (reset to length zero and grown
-// as needed), the zero-allocation bulk variant.
+// as needed), the zero-allocation bulk variant. A malformed q yields no
+// samples.
 //
 //fairnn:noalloc
 func (f *FilterIndependent) SampleKInto(q vector.Vec, k int, dst []int32, st *QueryStats) []int32 {
 	dst = dst[:0]
-	if k <= 0 {
+	if k <= 0 || !f.validQuery(q, st) {
 		return dst
 	}
 	qr := f.getQuerier()

@@ -175,6 +175,13 @@ func (d *Independent[P]) Options() IndependentOptions { return d.opts }
 // Point returns the indexed point with the given id.
 func (d *Independent[P]) Point(id int32) P { return d.base.Point(id) }
 
+// ValidQuery reports whether q is a well-formed query for this index (see
+// Space.QueryOK), recording a failed query on st when it is not. The
+// sharded sampler checks its queries with the first shard's ValidQuery.
+//
+//fairnn:noalloc
+func (d *Independent[P]) ValidQuery(q P, st *QueryStats) bool { return d.base.validQuery(q, st) }
+
 // RetainedScratchBytes reports the backing-array footprint of the pooled
 // per-query scratch this structure currently pins between queries.
 func (d *Independent[P]) RetainedScratchBytes() int { return d.base.RetainedScratchBytes() }
@@ -295,7 +302,8 @@ func (d *Independent[P]) segmentNear(q P, qr *querier, lo, hi int32, st *QuerySt
 
 // Sample returns a uniform, independent sample from B_S(q, r), or ok=false
 // when no near point collides with q (or the rejection budget is exhausted,
-// a probability-≤δ event under the paper's constants).
+// a probability-≤δ event under the paper's constants), or when q is
+// malformed (SampleContext tells these apart).
 //
 //fairnn:noalloc
 func (d *Independent[P]) Sample(q P, st *QueryStats) (id int32, ok bool) {
@@ -307,13 +315,16 @@ func (d *Independent[P]) Sample(q P, st *QueryStats) (id int32, ok bool) {
 // with context.Background(), so the two entry points cannot diverge):
 // the rejection loop polls ctx.Err() every ctxCheckRounds rounds, so a
 // query spinning under deadline pressure returns ctx's error within one
-// check interval. A failed (but uncanceled) query returns ErrNoSample.
-// The poll draws no randomness and the Background path allocates
-// nothing, so Sample's draw order, output and zero-allocation steady
-// state are unchanged.
+// check interval. A failed (but uncanceled) query returns ErrNoSample and
+// a malformed one ErrBadQuery. The poll draws no randomness and the
+// Background path allocates nothing, so Sample's draw order, output and
+// zero-allocation steady state are unchanged.
 //
 //fairnn:noalloc
 func (d *Independent[P]) SampleContext(ctx context.Context, q P, st *QueryStats) (int32, error) {
+	if !d.base.validQuery(q, st) {
+		return 0, ErrBadQuery
+	}
 	qr := d.base.getQuerier()
 	defer d.base.putQuerier(qr)
 	d.base.resolve(q, qr, st)
@@ -327,9 +338,14 @@ func (d *Independent[P]) SampleContext(ctx context.Context, q P, st *QueryStats)
 // per stream; every yielded id costs one rejection loop on the shared
 // plan (exactly the SampleK amortization, without a bounded output
 // buffer). The stream ends when the consumer breaks, when ctx is done
-// (yielding ctx.Err() once), or when a draw fails (yielding ErrNoSample).
+// (yielding ctx.Err() once), or when a draw fails (yielding ErrNoSample;
+// ErrBadQuery for a malformed query).
 func (d *Independent[P]) Samples(ctx context.Context, q P) iter.Seq2[int32, error] {
 	return func(yield func(int32, error) bool) {
+		if !d.base.validQuery(q, nil) {
+			yield(0, ErrBadQuery)
+			return
+		}
 		qr := d.base.getQuerier()
 		defer d.base.putQuerier(qr)
 		d.base.resolve(q, qr, nil)
@@ -369,10 +385,17 @@ func (d *Independent[P]) sampleResolved(ctx context.Context, q P, qr *querier, e
 	}
 	preRounds, preHits := st.Rounds, st.ScoreCacheHits
 	preBatch, preEvals := st.BatchScored, st.ScoreEvals
+	// Clamped is sticky across the draws of one SampleK: clear it for
+	// this draw and OR the earlier value back, so the caller's record is
+	// unchanged while the metric sees exactly this draw's clamp.
+	preClamped := st.Clamped
+	st.Clamped = false
 	t0 := time.Now()
 	id, ok = d.drawResolved(ctx, q, qr, est, st)
+	clamped := st.Clamped
+	st.Clamped = preClamped || clamped
 	m.ObserveDraw(time.Since(t0), ok, st.Rounds-preRounds, st.ScoreCacheHits-preHits,
-		st.BatchScored-preBatch, st.ScoreEvals-preEvals, false)
+		st.BatchScored-preBatch, st.ScoreEvals-preEvals, false, clamped)
 	return id, ok
 }
 
@@ -451,12 +474,13 @@ func (d *Independent[P]) SampleK(q P, k int, st *QueryStats) []int32 {
 // SampleKInto is SampleK writing into dst (reset to length zero and grown
 // as needed): callers drawing many batches amortize the output buffer and
 // reach a zero-allocation steady state. The returned slice must be
-// consumed (or copied) before dst is reused.
+// consumed (or copied) before dst is reused. A malformed q yields no
+// samples.
 //
 //fairnn:noalloc
 func (d *Independent[P]) SampleKInto(q P, k int, dst []int32, st *QueryStats) []int32 {
 	dst = dst[:0]
-	if k <= 0 {
+	if k <= 0 || !d.base.validQuery(q, st) {
 		return dst
 	}
 	qr := d.base.getQuerier()

@@ -69,12 +69,16 @@ func (s *Sampler[P]) Point(id int32) P { return s.base.Point(id) }
 func (s *Sampler[P]) RetainedScratchBytes() int { return s.base.RetainedScratchBytes() }
 
 // Sample returns the id of a uniform sample from B_S(q, r), or ok=false if
-// no near point collides with q in any table. The query is deterministic
-// given the data structure (Definition 1 does not require independence);
-// use Independent or SampleRepeated for independent outputs.
+// no near point collides with q in any table or q is malformed. The query
+// is deterministic given the data structure (Definition 1 does not
+// require independence); use Independent or SampleRepeated for
+// independent outputs.
 //
 //fairnn:noalloc
 func (s *Sampler[P]) Sample(q P, st *QueryStats) (id int32, ok bool) {
+	if !s.base.validQuery(q, st) {
+		return 0, false
+	}
 	qr := s.base.getQuerier()
 	defer s.base.putQuerier(qr)
 	s.base.resolve(q, qr, st)
@@ -113,13 +117,17 @@ func (s *Sampler[P]) Sample(q P, st *QueryStats) (id int32, ok bool) {
 
 // SampleContext is Sample under a context. The Section 3 query is a
 // bounded bucket scan with no rejection loop, so cancellation is checked
-// once up front; a failed (but uncanceled) query returns ErrNoSample.
-// With context.Background() the output is identical to Sample.
+// once up front; a failed (but uncanceled) query returns ErrNoSample and
+// a malformed one ErrBadQuery. With context.Background() the output is
+// identical to Sample.
 //
 //fairnn:noalloc
 func (s *Sampler[P]) SampleContext(ctx context.Context, q P, st *QueryStats) (int32, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
+	}
+	if !s.base.validQuery(q, st) {
+		return 0, ErrBadQuery
 	}
 	id, ok := s.Sample(q, st)
 	return sampleCtxResult(ctx, id, ok)
@@ -151,12 +159,13 @@ func (s *Sampler[P]) SampleK(q P, k int, st *QueryStats) []int32 {
 // SampleKInto is SampleK writing into dst (reset to length zero and grown
 // as needed), for callers amortizing the output buffer across queries.
 // The k-way merge over the L rank-sorted buckets streams through the
-// querier's pooled rank.Merger, so the steady state allocates nothing.
+// querier's pooled rank.Merger, so the steady state allocates nothing. A
+// malformed q yields no samples.
 //
 //fairnn:noalloc
 func (s *Sampler[P]) SampleKInto(q P, k int, dst []int32, st *QueryStats) []int32 {
 	dst = dst[:0]
-	if k <= 0 {
+	if k <= 0 || !s.base.validQuery(q, st) {
 		return dst
 	}
 	qr := s.base.getQuerier()

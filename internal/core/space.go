@@ -17,6 +17,8 @@
 package core
 
 import (
+	"fmt"
+
 	"fairnn/internal/set"
 	"fairnn/internal/vector"
 )
@@ -51,6 +53,45 @@ type Space[P any] struct {
 	// and unbatched queries produce the same verdicts (and therefore the
 	// same sample streams).
 	ScoreSqBatch func(q P, pts []P, ids []int32, out []float64)
+	// QueryOK, when non-nil, reports whether q is a well-formed query for
+	// an index over points: a canonical (strictly increasing) set, or a
+	// vector of the indexed dimension with finite coordinates. Every
+	// structure's query entry points check it once:
+	// the context-aware ones return ErrBadQuery for a malformed query and
+	// the others return no sample, instead of panicking or silently
+	// scoring a query the index cannot answer.
+	QueryOK func(q P, points []P) bool
+}
+
+// ValidQuery applies the space's QueryOK check to q against the indexed
+// points, recording a failed query on st when q is malformed.
+//
+//fairnn:noalloc
+func (s Space[P]) ValidQuery(q P, points []P, st *QueryStats) bool {
+	if s.QueryOK == nil || s.QueryOK(q, points) {
+		return true
+	}
+	st.found(false)
+	return false
+}
+
+// CheckFinite returns an ErrNonFinite error naming the first indexed
+// vector with a NaN or ±Inf coordinate, or nil when all are finite.
+func CheckFinite(points []vector.Vec) error {
+	for i, p := range points {
+		if j := vector.FirstNonFinite(p); j >= 0 {
+			return fmt.Errorf("%w: point %d coordinate %d is %v", ErrNonFinite, i, j, p[j])
+		}
+	}
+	return nil
+}
+
+// vecQueryOK is the QueryOK check of the vector spaces: the query must
+// match the indexed dimension and have finite coordinates.
+//
+//fairnn:noalloc
+func vecQueryOK(q vector.Vec, points []vector.Vec) bool {
+	return (len(points) == 0 || len(q) == len(points[0])) && vector.FirstNonFinite(q) < 0
 }
 
 // Near reports whether a score meets the threshold r under the space's
@@ -85,13 +126,17 @@ func (s Space[P]) Nearness(r float64) func(a, b P) bool {
 // Jaccard is the similarity space over item sets used by the Section 6
 // experiments.
 func Jaccard() Space[set.Set] {
-	return Space[set.Set]{Kind: Similarity, Score: func(a, b set.Set) float64 { return set.Jaccard(a, b) }}
+	return Space[set.Set]{
+		Kind:    Similarity,
+		Score:   func(a, b set.Set) float64 { return set.Jaccard(a, b) },
+		QueryOK: func(q set.Set, _ []set.Set) bool { return q.Valid() },
+	}
 }
 
 // InnerProduct is the similarity space over (unit) vectors used by the
 // Section 5 data structure.
 func InnerProduct() Space[vector.Vec] {
-	return Space[vector.Vec]{Kind: Similarity, Score: vector.Dot}
+	return Space[vector.Vec]{Kind: Similarity, Score: vector.Dot, QueryOK: vecQueryOK}
 }
 
 // Euclidean is the ℓ2 distance space. Its ScoreSq kernel lets near tests
@@ -104,6 +149,7 @@ func Euclidean() Space[vector.Vec] {
 		Score:        vector.Euclidean,
 		ScoreSq:      vector.SquaredEuclidean,
 		ScoreSqBatch: vector.SquaredEuclideanBatchIDs,
+		QueryOK:      vecQueryOK,
 	}
 }
 

@@ -211,7 +211,12 @@ func (s *Standard[P]) Candidates(q P, st *QueryStats) []int32 {
 	return s.candidates(q, qr, st)
 }
 
+// candidates is the query check of the candidate-based entry points: a
+// malformed q recalls nothing.
 func (s *Standard[P]) candidates(q P, qr *stdQuerier, st *QueryStats) []int32 {
+	if !s.space.ValidQuery(q, s.points, st) {
+		return nil
+	}
 	seen := make(map[int32]struct{})
 	var out []int32
 	for i := 0; i < s.params.L; i++ {
@@ -277,10 +282,14 @@ func (s *Standard[P]) SampleKInto(q P, k int, dst []int32, st *QueryStats) []int
 
 // SampleContext is Sample under a context. The naive fair scan is a
 // bounded pass over the query's buckets, so cancellation is checked once
-// up front; a failed (but uncanceled) query returns ErrNoSample.
+// up front; a failed (but uncanceled) query returns ErrNoSample and a
+// malformed one ErrBadQuery.
 func (s *Standard[P]) SampleContext(ctx context.Context, q P, st *QueryStats) (int32, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
+	}
+	if !s.space.ValidQuery(q, s.points, st) {
+		return 0, ErrBadQuery
 	}
 	id, ok := s.Sample(q, st)
 	return sampleCtxResult(ctx, id, ok)

@@ -111,6 +111,7 @@ func (w *Weighted[P]) SampleContext(ctx context.Context, q P, st *QueryStats) (i
 		p := wgt / w.wMax
 		if p > 1 {
 			st.clamp()
+			w.inner.met.ObserveClamp()
 			p = 1
 		}
 		if qsrc.Bernoulli(p) {

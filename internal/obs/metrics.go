@@ -29,6 +29,10 @@ type QueryMetrics struct {
 	ScoreEvals  *Counter
 	// Degraded counts draws answered over a reduced shard set.
 	Degraded *Counter
+	// Clamped counts draws in which an acceptance probability exceeded 1
+	// and was clamped — the one event that breaks exact uniformity, so a
+	// non-zero rate means the fairness guarantee is not holding exactly.
+	Clamped *Counter
 	// Latency is the per-draw wall-time histogram.
 	Latency *Histogram
 }
@@ -50,16 +54,17 @@ func NewQueryMetrics(r *Registry, layer string) *QueryMetrics {
 		BatchScored: r.Counter("fairnn_batch_scored_total", l, "distance scores computed through batched kernels"),
 		ScoreEvals:  r.Counter("fairnn_score_evals_total", l, "fresh distance evaluations"),
 		Degraded:    r.Counter("fairnn_degraded_draws_total", l, "draws answered over a reduced shard set"),
+		Clamped:     r.Counter("fairnn_draws_clamped_total", l, "draws whose acceptance probability exceeded 1 and was clamped"),
 		Latency:     r.Histogram("fairnn_draw_latency_seconds", l, "per-draw wall time"),
 	}
 }
 
 // ObserveDraw records one finished draw: outcome, rejection-loop round
-// count, memo/batch/score deltas, degradation, and wall time. Zero
-// allocations; no-op on a nil bundle.
+// count, memo/batch/score deltas, degradation, acceptance clamping, and
+// wall time. Zero allocations; no-op on a nil bundle.
 //
 //fairnn:noalloc
-func (m *QueryMetrics) ObserveDraw(d time.Duration, found bool, rounds, memoHits, batchScored, scoreEvals int, degraded bool) {
+func (m *QueryMetrics) ObserveDraw(d time.Duration, found bool, rounds, memoHits, batchScored, scoreEvals int, degraded, clamped bool) {
 	if m == nil {
 		return
 	}
@@ -79,5 +84,19 @@ func (m *QueryMetrics) ObserveDraw(d time.Duration, found bool, rounds, memoHits
 	if degraded {
 		m.Degraded.Inc()
 	}
+	if clamped {
+		m.Clamped.Inc()
+	}
 	m.Latency.Observe(d)
+}
+
+// ObserveClamp records a clamp in an acceptance step layered on top of an
+// already-observed draw (the weighted sampler's weight/wMax test). No-op
+// on a nil bundle.
+//
+//fairnn:noalloc
+func (m *QueryMetrics) ObserveClamp() {
+	if m != nil {
+		m.Clamped.Inc()
+	}
 }

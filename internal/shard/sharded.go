@@ -379,10 +379,14 @@ func (s *Sharded[P]) RetainedScratchBytes() int {
 // st.SketchEstimate their sum. Under a resilience policy each arm runs
 // through callShard; an error return means the query cannot proceed (a
 // *ShardError with degradation off, or ErrDegraded when every shard was
-// lost) and no session is retained.
+// lost) and no session is retained. On in-process shards a malformed q
+// returns core.ErrBadQuery before the query counter advances.
 //
 //fairnn:noalloc
 func (s *Sharded[P]) begin(ctx context.Context, q P, st *core.QueryStats, parallel bool) (*session[P], error) {
+	if s.shards != nil && !s.shards[0].ValidQuery(q, st) {
+		return nil, core.ErrBadQuery
+	}
 	ses := s.pool.Get()
 	if ses == nil {
 		n := len(s.backends)
@@ -679,7 +683,8 @@ func (s *Sharded[P]) release(ses *session[P]) {
 // drawResolved is the telemetry choke point around drawOnce: without a
 // registry it is a tail call (the disabled path pays nothing); with one
 // it times the draw and records outcome, rejection-round and scoring
-// deltas, and degradation into the layer="shard" bundle, counting into
+// deltas, degradation and acceptance clamping into the layer="shard"
+// bundle, counting into
 // the session's scratch stats when the caller passed nil. Metrics
 // writes are observational and draw no randomness, so same-seed streams
 // stay bit-identical either way.
@@ -705,8 +710,14 @@ func (s *Sharded[P]) drawResolved(ctx context.Context, ses *session[P], st *core
 			}
 		}
 	}
+	// Clamped is sticky across draws: clear it for this draw and OR the
+	// earlier value back (see core's sampleResolved).
+	preClamped := st.Clamped
+	st.Clamped = false
 	t0 := time.Now()
 	id, ok, err := s.drawOnce(ctx, ses, st)
+	clamped := st.Clamped
+	st.Clamped = preClamped || clamped
 	if !degraded && s.resOn {
 		// A shard lost during this draw degrades it too.
 		for j := range ses.dead {
@@ -717,7 +728,7 @@ func (s *Sharded[P]) drawResolved(ctx context.Context, ses *session[P], st *core
 		}
 	}
 	m.draw.ObserveDraw(time.Since(t0), ok, st.Rounds-preRounds, st.ScoreCacheHits-preHits,
-		st.BatchScored-preBatch, st.ScoreEvals-preEvals, degraded)
+		st.BatchScored-preBatch, st.ScoreEvals-preEvals, degraded, clamped)
 	return id, ok, err
 }
 
@@ -907,8 +918,8 @@ func (s *Sharded[P]) drawOnce(ctx context.Context, ses *session[P], st *core.Que
 // Sample returns a uniform, independent sample from the union ball
 // B_S(q, r), or ok=false when no shard recalls a near point, the
 // rejection budget is exhausted (a probability-≤δ event under the
-// paper's constants), or a shard failure the resilience policy could not
-// absorb — use SampleContext for the typed error.
+// paper's constants), a shard failure the resilience policy could not
+// absorb, or a malformed q — use SampleContext for the typed error.
 //
 //fairnn:noalloc
 func (s *Sharded[P]) Sample(q P, st *core.QueryStats) (id int32, ok bool) {
@@ -918,7 +929,8 @@ func (s *Sharded[P]) Sample(q P, st *core.QueryStats) (id int32, ok bool) {
 
 // SampleContext is Sample under a context: the rejection loop polls
 // ctx.Err() every ctxCheckRounds rounds, and a failed but uncanceled
-// query returns ErrNoSample (the Sampler contract). Shard failures
+// query returns ErrNoSample (the Sampler contract) and a malformed one
+// core.ErrBadQuery. Shard failures
 // surface as a *ShardError (degradation off) or ErrDegraded (every
 // shard lost); both match errors.Is(err, ErrDegraded).
 //

@@ -53,6 +53,19 @@ func dotGeneric(a, b Vec) float64 {
 	return s
 }
 
+// FirstNonFinite returns the index of the first NaN or ±Inf coordinate
+// of v, or -1 when every coordinate is finite.
+//
+//fairnn:noalloc
+func FirstNonFinite(v Vec) int {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Norm returns the Euclidean norm of v.
 func Norm(v Vec) float64 { return math.Sqrt(Dot(v, v)) }
 

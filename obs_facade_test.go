@@ -160,3 +160,51 @@ func TestObserveSampleZeroAlloc(t *testing.T) {
 		t.Fatal("alloc oracle ran with an idle registry")
 	}
 }
+
+// TestClampedDrawsExported pins fairnn_draws_clamped_total: every draw
+// whose QueryStats reports a clamped acceptance probability is counted
+// once under its layer — the weighted sampler's weight above wMax, and a
+// λ too small for the Section 4 segment counts, unsharded and sharded —
+// and a construction that never clamps leaves the counter at zero.
+func TestClampedDrawsExported(t *testing.T) {
+	sets, q := smallSets()
+	tiny := fairnn.WithIndependentOptions(fairnn.IndependentOptions{Lambda: 1})
+	for _, tc := range []struct {
+		name, layer string
+		opts        []fairnn.Option
+		wantClamps  bool
+	}{
+		{"weighted-over-wmax", "core", []fairnn.Option{fairnn.Algorithm(fairnn.Weighted),
+			fairnn.WithWeight(func(float64) float64 { return 2 }, 1)}, true},
+		{"weighted-within-wmax", "core", []fairnn.Option{fairnn.Algorithm(fairnn.Weighted),
+			fairnn.WithWeight(func(sim float64) float64 { return sim }, 1)}, false},
+		{"nnis-tiny-lambda", "core", []fairnn.Option{tiny}, true},
+		{"sharded-tiny-lambda", "shard", []fairnn.Option{tiny, fairnn.WithShards(1)}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := fairnn.NewRegistry()
+			opts := append([]fairnn.Option{fairnn.Radius(0.6), fairnn.WithSeed(19), fairnn.Observe(reg)}, tc.opts...)
+			s, err := fairnn.NewSet(sets, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clamped := 0
+			for i := 0; i < 200; i++ {
+				var st fairnn.QueryStats
+				if _, ok := s.Sample(q, &st); !ok {
+					t.Fatal("no sample")
+				}
+				if st.Clamped {
+					clamped++
+				}
+			}
+			got := reg.Counter("fairnn_draws_clamped_total", fairnn.MetricLabels("layer", tc.layer), "").Value()
+			if got != uint64(clamped) {
+				t.Fatalf("fairnn_draws_clamped_total{layer=%q} = %d, want %d (QueryStats.Clamped draws)", tc.layer, got, clamped)
+			}
+			if (clamped > 0) != tc.wantClamps {
+				t.Fatalf("%d of 200 draws clamped; want clamps = %v", clamped, tc.wantClamps)
+			}
+		})
+	}
+}

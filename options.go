@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"fairnn/internal/core"
 	"fairnn/internal/shard"
 )
 
@@ -27,6 +28,9 @@ var (
 	// ErrDimMismatch means the vectors (or WithDim) disagree on
 	// dimensionality.
 	ErrDimMismatch = errors.New("fairnn: vector dimensionality mismatch")
+	// ErrNonFinite means an indexed vector has a NaN or ±Inf coordinate;
+	// the message names the point and coordinate.
+	ErrNonFinite = core.ErrNonFinite
 	// ErrBadOption means an option combination is invalid for the chosen
 	// algorithm or point type.
 	ErrBadOption = errors.New("fairnn: invalid option combination")
@@ -663,7 +667,7 @@ func NewSet(points []Set, opts ...Option) (Sampler[Set], error) {
 // selects the Section 5 nearly-linear-space structure and additionally
 // needs WithBeta. Vector dimensionality is inferred from the first point
 // (override with WithDim); points disagreeing with it return
-// ErrDimMismatch.
+// ErrDimMismatch, and points with a NaN or ±Inf coordinate ErrNonFinite.
 func NewVec(points []Vec, opts ...Option) (Sampler[Vec], error) {
 	b := apply(opts)
 	if b.err != nil {
@@ -698,6 +702,9 @@ func NewVec(points []Vec, opts ...Option) (Sampler[Vec], error) {
 		if len(p) != dim {
 			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrDimMismatch, i, len(p), dim)
 		}
+	}
+	if err := core.CheckFinite(points); err != nil {
+		return nil, err
 	}
 	b.dim = dim
 	if !b.radiusSet {
