@@ -63,11 +63,9 @@
 // zero-allocation steady state is preserved), so a query spinning under
 // an adversarial workload returns context.Canceled or
 // context.DeadlineExceeded within one check interval; a failed but
-// uncanceled query returns ErrNoSample, and a malformed query (a Set that
-// is not strictly increasing, a Vec of the wrong dimension or with a
-// NaN/±Inf coordinate) returns ErrBadQuery. The plain Sample and SampleK
-// return no sample for a malformed query instead of panicking. Samples returns an unbounded
-// independent sample stream as a Go iterator with no output buffer:
+// uncanceled query returns ErrNoSample, a malformed one ErrBadQuery.
+// Samples returns an unbounded independent sample stream as a Go
+// iterator with no output buffer:
 //
 //	for id, err := range s.Samples(ctx, q) {
 //	    if err != nil { break } // ctx done, or ErrNoSample
@@ -223,12 +221,9 @@
 //     survivors-only union ball. Each such draw is still exactly
 //     uniform — over a smaller population — so this counter is the
 //     operator's measure of how often answers carried that asterisk.
-//   - fairnn_draws_clamped_total counts draws in which an acceptance
+//   - fairnn_draws_clamped_total counts draws whose acceptance
 //     probability exceeded 1 and was clamped (QueryStats.Clamped): the
-//     one event that breaks exact uniformity. Under correctly chosen
-//     constants it stays at zero; a rising rate means the fairness
-//     guarantee is no longer holding exactly (λ too small for the
-//     workload, or a weight above wMax).
+//     one event that breaks exact uniformity, so it stays at zero.
 //   - fairnn_shard_op_latency_seconds / _errors_total / _retries_total
 //     (labeled by shard and arm/segment/pick), the backoff counters,
 //     and fairnn_shard_health_down_total / _readmit_total watch the
@@ -333,11 +328,10 @@
 // but not guaranteed — to be bit-identical; where a last-bit difference
 // flips a threshold verdict, the sampler's actual contract (uniformity
 // on the ball) still holds and is pinned by the repo's chi-squared
-// stream tests. End to end, the accelerated tier pays at build time:
-// on the 4000-point, d = 128 Section 5 workload (perfbench vec-filter,
-// 4 interleaved pairs of runs, seeds 401–404, 2-core amd64) setup took
-// 1.8–2.1 s accelerated against 5.6–6.1 s with FAIRNN_NOASM=1, while
-// query p50 latency was unchanged.
+// stream tests. End to end the accelerated tier pays at build time: on
+// perfbench vec-filter (4000 points, d = 128; 4 interleaved run pairs,
+// seeds 401–404, 2-core amd64) setup takes 1.8–2.1 s against 5.6–6.1 s
+// with FAIRNN_NOASM=1, and query p50 latency is unchanged.
 //
 // # Static guarantees
 //

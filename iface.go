@@ -21,11 +21,9 @@ import (
 var ErrNoSample = core.ErrNoSample
 
 // ErrBadQuery is returned by SampleContext (and yielded once by Samples)
-// when the query is malformed for the index: a Set that is not strictly
-// increasing (build it with SetFromSlice), or a Vec whose dimension
-// differs from the indexed vectors' or that has a NaN/±Inf coordinate.
-// Sample, SampleK and SampleKInto return no sample for such a query;
-// they never panic on it.
+// for a malformed query: a Set that is not strictly increasing, or a Vec
+// of the wrong dimension or with a NaN/±Inf coordinate. Sample and
+// SampleK return no sample for it instead of panicking.
 var ErrBadQuery = core.ErrBadQuery
 
 // Sampler is the uniform near-neighbor sampling contract shared by every
@@ -36,8 +34,7 @@ var ErrBadQuery = core.ErrBadQuery
 //   - Plain queries: Sample draws one id from B_S(q, r) (ok=false when
 //     nothing near is recalled or q is malformed); SampleK draws k — with
 //     or without replacement depending on the structure, see each type's
-//     docs — and SampleKInto is its zero-allocation variant writing into
-//     dst (both return no ids for a malformed q).
+//     docs — and SampleKInto is its zero-allocation variant into dst.
 //   - Context-aware queries: SampleContext is Sample under a context —
 //     the Section 4/5 rejection loops poll ctx.Err() every few dozen
 //     rounds, so a query spinning under deadline pressure returns

@@ -55,11 +55,11 @@ type Space[P any] struct {
 	ScoreSqBatch func(q P, pts []P, ids []int32, out []float64)
 	// QueryOK, when non-nil, reports whether q is a well-formed query for
 	// an index over points: a canonical (strictly increasing) set, or a
-	// vector of the indexed dimension with finite coordinates. Every
-	// structure's query entry points check it once:
-	// the context-aware ones return ErrBadQuery for a malformed query and
-	// the others return no sample, instead of panicking or silently
-	// scoring a query the index cannot answer.
+	// vector of the indexed dimension with finite coordinates. Each query
+	// entry point checks it once: the context-aware ones return
+	// ErrBadQuery for a malformed query and the others return no sample,
+	// instead of panicking or silently scoring a query the index cannot
+	// answer.
 	QueryOK func(q P, points []P) bool
 }
 

@@ -28,8 +28,7 @@ var (
 	// ErrDimMismatch means the vectors (or WithDim) disagree on
 	// dimensionality.
 	ErrDimMismatch = errors.New("fairnn: vector dimensionality mismatch")
-	// ErrNonFinite means an indexed vector has a NaN or ±Inf coordinate;
-	// the message names the point and coordinate.
+	// ErrNonFinite means an indexed vector has a NaN or ±Inf coordinate.
 	ErrNonFinite = core.ErrNonFinite
 	// ErrBadOption means an option combination is invalid for the chosen
 	// algorithm or point type.
