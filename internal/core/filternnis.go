@@ -243,16 +243,12 @@ func (f *FilterIndependent) RetainedScratchBytes() int {
 // RetainedQueriers reports how many queriers the pool currently holds.
 func (f *FilterIndependent) RetainedQueriers() int { return f.pool.Retained() }
 
-// validQuery is the query check of every entry point: q must match the
-// indexed dimension and have finite coordinates (see Space.QueryOK).
+// validQuery is the query check of every entry point: the inner-product
+// space's QueryOK (indexed dimension, finite coordinates).
 //
 //fairnn:noalloc
 func (f *FilterIndependent) validQuery(q vector.Vec, st *QueryStats) bool {
-	if vecQueryOK(q, f.points) {
-		return true
-	}
-	st.found(false)
-	return false
+	return InnerProduct().ValidQuery(q, f.points, st)
 }
 
 // buildPlan gathers the selected buckets of all banks for one query into

@@ -135,6 +135,8 @@ func Jaccard() Space[set.Set] {
 
 // InnerProduct is the similarity space over (unit) vectors used by the
 // Section 5 data structure.
+//
+//fairnn:noalloc
 func InnerProduct() Space[vector.Vec] {
 	return Space[vector.Vec]{Kind: Similarity, Score: vector.Dot, QueryOK: vecQueryOK}
 }
