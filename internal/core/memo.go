@@ -95,12 +95,12 @@ const compactMemoEpochMax = 1 << 31
 // near-cache stores 0/1, the similarity memo stores math.Float64bits.
 //
 // It is an open-addressing (linear-probing) hash table over ids whose
-// slots are epoch-stamped — a slot is live iff
-// its stamp equals the current epoch, so reset invalidates the whole table
-// in O(1) with no clearing. Within one epoch no entry is ever deleted, so
-// probe chains stay intact. Capacity is a power of two, grown geometrically
-// at ¾ load and recycled across checkouts; a query touching C distinct
-// candidates retains Θ(C) slots, independent of n.
+// slots are epoch-stamped — a slot is live iff its stamp equals the
+// current epoch, so reset invalidates the whole table in O(1) with no
+// clearing. Within one epoch no entry is ever deleted, so probe chains
+// stay intact. Capacity is a power of two, grown geometrically at ¾ load
+// and recycled across checkouts; a query touching C distinct candidates
+// retains Θ(C) slots, independent of n.
 //
 // Each slot packs (key, stamp) — and, in bit mode, the verdict — into one
 // word:
