@@ -51,40 +51,43 @@ func newEuclideanIndependent(t *testing.T, batch bool, seed uint64) (*Independen
 // ScoreSqBatch (forcing per-candidate nearCached) changes neither any
 // sample nor any counter.
 func TestBatchSeamIdenticalStreams(t *testing.T) {
-	batched, q := newEuclideanIndependent(t, true, 311)
-	plain, _ := newEuclideanIndependent(t, false, 311)
-	sawBatch := false
-	for i := 0; i < 150; i++ {
-		var bst, pst QueryStats
-		gotID, gotOK := batched.Sample(q, &bst)
-		wantID, wantOK := plain.Sample(q, &pst)
-		if gotID != wantID || gotOK != wantOK {
-			t.Fatalf("Sample #%d: batched (%d, %v), plain (%d, %v)", i, gotID, gotOK, wantID, wantOK)
+	// The subtest is named for the compact memo table it runs on.
+	t.Run("compact", func(t *testing.T) {
+		batched, q := newEuclideanIndependent(t, true, 311)
+		plain, _ := newEuclideanIndependent(t, false, 311)
+		sawBatch := false
+		for i := 0; i < 150; i++ {
+			var bst, pst QueryStats
+			gotID, gotOK := batched.Sample(q, &bst)
+			wantID, wantOK := plain.Sample(q, &pst)
+			if gotID != wantID || gotOK != wantOK {
+				t.Fatalf("Sample #%d: batched (%d, %v), plain (%d, %v)", i, gotID, gotOK, wantID, wantOK)
+			}
+			if bst.ScoreEvals != pst.ScoreEvals || bst.ScoreCacheHits != pst.ScoreCacheHits ||
+				bst.PointsInspected != pst.PointsInspected || bst.MemoProbes != pst.MemoProbes {
+				t.Fatalf("Sample #%d counters diverged: batched %+v, plain %+v", i, bst, pst)
+			}
+			if pst.BatchScored != 0 {
+				t.Fatalf("plain path reported BatchScored = %d", pst.BatchScored)
+			}
+			if bst.BatchScored > bst.ScoreEvals {
+				t.Fatalf("BatchScored %d exceeds ScoreEvals %d", bst.BatchScored, bst.ScoreEvals)
+			}
+			sawBatch = sawBatch || bst.BatchScored > 0
 		}
-		if bst.ScoreEvals != pst.ScoreEvals || bst.ScoreCacheHits != pst.ScoreCacheHits ||
-			bst.PointsInspected != pst.PointsInspected || bst.MemoProbes != pst.MemoProbes {
-			t.Fatalf("Sample #%d counters diverged: batched %+v, plain %+v", i, bst, pst)
+		for i := 0; i < 25; i++ {
+			var bst QueryStats
+			got := batched.SampleK(q, 20, &bst)
+			want := plain.SampleK(q, 20, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("SampleK #%d: batched %v, plain %v", i, got, want)
+			}
+			sawBatch = sawBatch || bst.BatchScored > 0
 		}
-		if pst.BatchScored != 0 {
-			t.Fatalf("plain path reported BatchScored = %d", pst.BatchScored)
+		if !sawBatch {
+			t.Error("batched structure never exercised the batch path (BatchScored stayed 0)")
 		}
-		if bst.BatchScored > bst.ScoreEvals {
-			t.Fatalf("BatchScored %d exceeds ScoreEvals %d", bst.BatchScored, bst.ScoreEvals)
-		}
-		sawBatch = sawBatch || bst.BatchScored > 0
-	}
-	for i := 0; i < 25; i++ {
-		var bst QueryStats
-		got := batched.SampleK(q, 20, &bst)
-		want := plain.SampleK(q, 20, nil)
-		if !slices.Equal(got, want) {
-			t.Fatalf("SampleK #%d: batched %v, plain %v", i, got, want)
-		}
-		sawBatch = sawBatch || bst.BatchScored > 0
-	}
-	if !sawBatch {
-		t.Error("batched structure never exercised the batch path (BatchScored stayed 0)")
-	}
+	})
 }
 
 // TestKeepNearMatchesNearCached is the direct parity test of the
@@ -92,35 +95,38 @@ func TestBatchSeamIdenticalStreams(t *testing.T) {
 // verdicts, same counters, same memo contents afterwards — for block
 // sizes on either side of batchMinCandidates.
 func TestKeepNearMatchesNearCached(t *testing.T) {
-	a, q := newEuclideanIndependent(t, true, 313)
-	b, _ := newEuclideanIndependent(t, true, 313)
-	for _, block := range []int{1, batchMinCandidates - 1, batchMinCandidates, 64, 400} {
-		qa, qb := a.base.getQuerier(), b.base.getQuerier()
-		var sta, stb QueryStats
-		ids := make([]int32, 0, block)
-		for id := 0; id < block && id < a.N(); id++ {
-			ids = append(ids, int32(id))
-		}
-		// Repeat the block so the second pass hits the memo.
-		for pass := 0; pass < 2; pass++ {
-			got := a.base.keepNear(q, qa, slices.Clone(ids), &sta)
-			want := qb.cand[:0]
-			for _, id := range ids {
-				if b.base.nearCached(q, qb, id, &stb) {
-					want = append(want, id)
+	// The subtest is named for the compact memo table it runs on.
+	t.Run("compact", func(t *testing.T) {
+		a, q := newEuclideanIndependent(t, true, 313)
+		b, _ := newEuclideanIndependent(t, true, 313)
+		for _, block := range []int{1, batchMinCandidates - 1, batchMinCandidates, 64, 400} {
+			qa, qb := a.base.getQuerier(), b.base.getQuerier()
+			var sta, stb QueryStats
+			ids := make([]int32, 0, block)
+			for id := 0; id < block && id < a.N(); id++ {
+				ids = append(ids, int32(id))
+			}
+			// Repeat the block so the second pass hits the memo.
+			for pass := 0; pass < 2; pass++ {
+				got := a.base.keepNear(q, qa, slices.Clone(ids), &sta)
+				want := qb.cand[:0]
+				for _, id := range ids {
+					if b.base.nearCached(q, qb, id, &stb) {
+						want = append(want, id)
+					}
+				}
+				qb.cand = want[:0]
+				if !slices.Equal(got, want) {
+					t.Fatalf("block %d pass %d: keepNear %v, nearCached %v", block, pass, got, want)
+				}
+				if sta.ScoreEvals != stb.ScoreEvals || sta.ScoreCacheHits != stb.ScoreCacheHits || sta.MemoProbes != stb.MemoProbes {
+					t.Fatalf("block %d pass %d counters diverged: keepNear %+v, nearCached %+v", block, pass, sta, stb)
 				}
 			}
-			qb.cand = want[:0]
-			if !slices.Equal(got, want) {
-				t.Fatalf("block %d pass %d: keepNear %v, nearCached %v", block, pass, got, want)
-			}
-			if sta.ScoreEvals != stb.ScoreEvals || sta.ScoreCacheHits != stb.ScoreCacheHits || sta.MemoProbes != stb.MemoProbes {
-				t.Fatalf("block %d pass %d counters diverged: keepNear %+v, nearCached %+v", block, pass, sta, stb)
-			}
+			a.base.putQuerier(qa)
+			b.base.putQuerier(qb)
 		}
-		a.base.putQuerier(qa)
-		b.base.putQuerier(qb)
-	}
+	})
 }
 
 // TestAccelVsPortableStreams compares whole sample streams across kernel

@@ -3,11 +3,13 @@ package core
 // Tests for the memory discipline: the compact memo table must survive
 // epoch recycling and growth, the bounded querier pool must cap burst
 // memory, retained scratch must not grow with n, and the whole memo path
-// must be race-clean. Same-seed stream equality is pinned by the golden
-// digests (TestGoldenStreams in the fairnn package).
+// must be race-clean, and pooled or fresh memo tables must yield the
+// same same-seed streams (the full streams and counters are also pinned
+// by the golden digests, TestGoldenStreams in the fairnn package).
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -161,6 +163,128 @@ func TestCompactMemoAdversarialCollisions(t *testing.T) {
 			t.Fatalf("collision chain lost id %d: (%d, %v)", id, v, ok)
 		}
 	}
+}
+
+// memoConfigs are the two memo lifetimes the stream test compares: a
+// pooled querier whose table survives across checkouts with no trimming,
+// and no retention at all, so every checkout starts from a fresh table.
+var memoConfigs = [2]MemoOptions{
+	{ScratchBudget: -1},
+	{MaxRetainedQueriers: -1},
+}
+
+// newMemoIndependent builds the Section 4 structure with the given memo
+// options over a multi-bucket family (modFamily), so the rejection loop,
+// the merged cursor, and the memo all do real work.
+func newMemoIndependent(t *testing.T, memo MemoOptions, seed uint64) *Independent[int] {
+	t.Helper()
+	opts := IndependentOptions{Memo: memo}
+	d, err := NewIndependent[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 5}, lineDataset(128), 20, opts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestMemoBackendsIdenticalStreams is the seeded drop-in property of the
+// memo: with identical seeds, a build whose memo tables are pooled and
+// reused across queries and a build that starts every query from a fresh
+// table must emit bit-identical sample streams — how the memo is kept may
+// change cost, never output. Covered: Independent (NNIS Sample +
+// SampleK), Sampler (NNS Sample + SampleK), Weighted, and
+// FilterIndependent (Sample + SampleK over planted vectors).
+func TestMemoBackendsIdenticalStreams(t *testing.T) {
+	t.Run("nnis", func(t *testing.T) {
+		pooled := newMemoIndependent(t, memoConfigs[0], 211)
+		fresh := newMemoIndependent(t, memoConfigs[1], 211)
+		for i := 0; i < 200; i++ {
+			q := i % 96
+			wantID, wantOK := pooled.Sample(q, nil)
+			gotID, gotOK := fresh.Sample(q, nil)
+			if wantID != gotID || wantOK != gotOK {
+				t.Fatalf("Sample(%d) #%d: fresh (%d, %v), pooled (%d, %v)", q, i, gotID, gotOK, wantID, wantOK)
+			}
+		}
+		for i := 0; i < 30; i++ {
+			want := pooled.SampleK(5, 25, nil)
+			got := fresh.SampleK(5, 25, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("SampleK #%d: fresh %v, pooled %v", i, got, want)
+			}
+		}
+		if pooled.RetainedQueriers() == 0 || fresh.RetainedQueriers() != 0 {
+			t.Fatalf("retained queriers: pooled %d, fresh %d; want > 0 and 0", pooled.RetainedQueriers(), fresh.RetainedQueriers())
+		}
+	})
+
+	t.Run("nns", func(t *testing.T) {
+		mk := func(memo MemoOptions) *Sampler[int] {
+			s, err := NewSamplerMemo[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 5}, lineDataset(128), 20, memo, 223)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		pooled, fresh := mk(memoConfigs[0]), mk(memoConfigs[1])
+		for q := 0; q < 60; q++ {
+			wantID, wantOK := pooled.Sample(q, nil)
+			gotID, gotOK := fresh.Sample(q, nil)
+			if wantID != gotID || wantOK != gotOK {
+				t.Fatalf("Sample(%d): fresh (%d, %v), pooled (%d, %v)", q, gotID, gotOK, wantID, wantOK)
+			}
+			if want, got := pooled.SampleK(q, 10, nil), fresh.SampleK(q, 10, nil); !slices.Equal(got, want) {
+				t.Fatalf("SampleK(%d): fresh %v, pooled %v", q, got, want)
+			}
+		}
+	})
+
+	t.Run("weighted", func(t *testing.T) {
+		mk := func(memo MemoOptions) *Weighted[int] {
+			opts := IndependentOptions{Memo: memo}
+			w, err := NewWeighted[int](intSpace(), modFamily{}, lsh.Params{K: 1, L: 4}, lineDataset(96), 15,
+				func(score float64) float64 { return 1 / (1 + score) }, 1, opts, 227)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+		pooled, fresh := mk(memoConfigs[0]), mk(memoConfigs[1])
+		for i := 0; i < 150; i++ {
+			q := i % 70
+			wantID, wantOK := pooled.Sample(q, nil)
+			gotID, gotOK := fresh.Sample(q, nil)
+			if wantID != gotID || wantOK != gotOK {
+				t.Fatalf("Weighted.Sample(%d) #%d: fresh (%d, %v), pooled (%d, %v)", q, i, gotID, gotOK, wantID, wantOK)
+			}
+		}
+	})
+
+	t.Run("filter", func(t *testing.T) {
+		w := plantedWorkload(t, 250, 12, 40, 0.8, 0.5, 229)
+		mk := func(memo MemoOptions) *FilterIndependent {
+			opts := FilterIndependentOptions{Memo: memo}
+			fi, err := NewFilterIndependent(w.Points, 0.8, 0.5, opts, 233)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fi
+		}
+		pooled, fresh := mk(memoConfigs[0]), mk(memoConfigs[1])
+		for i := 0; i < 120; i++ {
+			wantID, wantOK := pooled.Sample(w.Query, nil)
+			gotID, gotOK := fresh.Sample(w.Query, nil)
+			if wantID != gotID || wantOK != gotOK {
+				t.Fatalf("Filter.Sample #%d: fresh (%d, %v), pooled (%d, %v)", i, gotID, gotOK, wantID, wantOK)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			want := pooled.SampleK(w.Query, 30, nil)
+			got := fresh.SampleK(w.Query, 30, nil)
+			if !slices.Equal(got, want) {
+				t.Fatalf("Filter.SampleK #%d: fresh %v, pooled %v", i, got, want)
+			}
+		}
+	})
 }
 
 // TestCompactSimMemoExactBits pins that round-tripping similarities

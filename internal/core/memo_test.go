@@ -134,70 +134,73 @@ func TestResolveInvalidatesMergedCursor(t *testing.T) {
 // must actually exercise the merged cursor and the near-cache (otherwise
 // the test would vacuously pass on the legacy path).
 func TestMemoizedDistributionPreserved(t *testing.T) {
-	const n, ballSize = 64, 8
-	d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 3}, lineDataset(n), float64(ballSize-1), IndependentOptions{}, 83)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domain := domainInts(ballSize)
-
-	// Single-sample path.
-	var st QueryStats
-	freq := stats.NewFrequency()
-	const reps = 20000
-	for i := 0; i < reps; i++ {
-		id, ok := d.Sample(0, &st)
-		if !ok {
-			t.Fatal("query failed with perfect recall")
+	// The subtest is named for the compact memo table it runs on.
+	t.Run("compact", func(t *testing.T) {
+		const n, ballSize = 64, 8
+		d, err := NewIndependent[int](intSpace(), allCollide{}, lsh.Params{K: 1, L: 3}, lineDataset(n), float64(ballSize-1), IndependentOptions{}, 83)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d.Point(id) > ballSize-1 {
-			t.Fatalf("far point %d returned", d.Point(id))
-		}
-		freq.Observe(id)
-	}
-	if tv := tvUniform(freq, domain); tv > 0.03 {
-		t.Errorf("Sample TV = %v, want < 0.03", tv)
-	}
-	if _, p := freq.ChiSquareUniform(domain); p < 1e-4 {
-		t.Errorf("Sample chi-square rejects uniformity: p = %v", p)
-	}
-	if len(freq.Support()) != ballSize {
-		t.Errorf("Sample support = %d, want the exact ball %d", len(freq.Support()), ballSize)
-	}
+		domain := domainInts(ballSize)
 
-	// Bulk path: SampleK draws share one near-cache epoch and (once the
-	// meter trips) one merged cursor; the union over batches must stay
-	// uniform and the memo layers must have fired.
-	var kst QueryStats
-	kfreq := stats.NewFrequency()
-	dst := make([]int32, 0, 40)
-	for i := 0; i < 1200; i++ {
-		dst = d.SampleKInto(0, 40, dst, &kst)
-		for _, id := range dst {
-			if d.Point(id) > ballSize-1 {
-				t.Fatalf("far point %d returned by SampleK", d.Point(id))
+		// Single-sample path.
+		var st QueryStats
+		freq := stats.NewFrequency()
+		const reps = 20000
+		for i := 0; i < reps; i++ {
+			id, ok := d.Sample(0, &st)
+			if !ok {
+				t.Fatal("query failed with perfect recall")
 			}
-			kfreq.Observe(id)
+			if d.Point(id) > ballSize-1 {
+				t.Fatalf("far point %d returned", d.Point(id))
+			}
+			freq.Observe(id)
 		}
-	}
-	if tv := tvUniform(kfreq, domain); tv > 0.03 {
-		t.Errorf("SampleK TV = %v, want < 0.03", tv)
-	}
-	if _, p := kfreq.ChiSquareUniform(domain); p < 1e-4 {
-		t.Errorf("SampleK chi-square rejects uniformity: p = %v", p)
-	}
-	if len(kfreq.Support()) != ballSize {
-		t.Errorf("SampleK support = %d, want the exact ball %d", len(kfreq.Support()), ballSize)
-	}
-	if !kst.CursorMerged {
-		t.Error("SampleK(40) never materialized the merged cursor; the memoized path was not exercised")
-	}
-	if kst.ScoreCacheHits == 0 {
-		t.Error("near-cache recorded no hits across SampleK rounds")
-	}
-	if kst.MemoProbes < kst.ScoreCacheHits {
-		t.Errorf("MemoProbes = %d below ScoreCacheHits = %d; every hit is a probe", kst.MemoProbes, kst.ScoreCacheHits)
-	}
+		if tv := tvUniform(freq, domain); tv > 0.03 {
+			t.Errorf("Sample TV = %v, want < 0.03", tv)
+		}
+		if _, p := freq.ChiSquareUniform(domain); p < 1e-4 {
+			t.Errorf("Sample chi-square rejects uniformity: p = %v", p)
+		}
+		if len(freq.Support()) != ballSize {
+			t.Errorf("Sample support = %d, want the exact ball %d", len(freq.Support()), ballSize)
+		}
+
+		// Bulk path: SampleK draws share one near-cache epoch and (once the
+		// meter trips) one merged cursor; the union over batches must stay
+		// uniform and the memo layers must have fired.
+		var kst QueryStats
+		kfreq := stats.NewFrequency()
+		dst := make([]int32, 0, 40)
+		for i := 0; i < 1200; i++ {
+			dst = d.SampleKInto(0, 40, dst, &kst)
+			for _, id := range dst {
+				if d.Point(id) > ballSize-1 {
+					t.Fatalf("far point %d returned by SampleK", d.Point(id))
+				}
+				kfreq.Observe(id)
+			}
+		}
+		if tv := tvUniform(kfreq, domain); tv > 0.03 {
+			t.Errorf("SampleK TV = %v, want < 0.03", tv)
+		}
+		if _, p := kfreq.ChiSquareUniform(domain); p < 1e-4 {
+			t.Errorf("SampleK chi-square rejects uniformity: p = %v", p)
+		}
+		if len(kfreq.Support()) != ballSize {
+			t.Errorf("SampleK support = %d, want the exact ball %d", len(kfreq.Support()), ballSize)
+		}
+		if !kst.CursorMerged {
+			t.Error("SampleK(40) never materialized the merged cursor; the memoized path was not exercised")
+		}
+		if kst.ScoreCacheHits == 0 {
+			t.Error("near-cache recorded no hits across SampleK rounds")
+		}
+		if kst.MemoProbes < kst.ScoreCacheHits {
+			t.Errorf("MemoProbes = %d below ScoreCacheHits = %d; every hit is a probe", kst.MemoProbes, kst.ScoreCacheHits)
+		}
+	})
 }
 
 // TestNearCacheBoundsScoreEvals pins the memoization guarantee itself:

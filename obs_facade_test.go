@@ -62,7 +62,8 @@ func TestObserveBitEquivalence(t *testing.T) {
 		}
 	}
 
-	t.Run("set-nnis", func(t *testing.T) {
+	// The unsharded cases are named for the compact memo table they run on.
+	t.Run("set-nnis-compact", func(t *testing.T) {
 		bare, err := fairnn.NewSet(sets, fairnn.Radius(0.6), fairnn.WithSeed(23))
 		if err != nil {
 			t.Fatal(err)
@@ -77,7 +78,7 @@ func TestObserveBitEquivalence(t *testing.T) {
 		check(t, got, want, gotSt, wantSt)
 		recorded(t, reg, "core")
 	})
-	t.Run("vec-filter", func(t *testing.T) {
+	t.Run("vec-filter-compact", func(t *testing.T) {
 		bare, err := fairnn.NewVec(w.Points, fairnn.Radius(0.8), fairnn.Algorithm(fairnn.Filter),
 			fairnn.WithBeta(0.4), fairnn.WithSeed(47))
 		if err != nil {
